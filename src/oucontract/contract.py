@@ -27,8 +27,6 @@ reported but never asserted.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,17 +379,6 @@ def gradient_lp_ratio(
     return lhs, rhs
 
 
-def _worker_cap() -> int:
-    env = os.environ.get("OU_CONTRACT_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        return 1
-    return cap
-
-
 def contractivity_sweep(
     domain: LevelSetDomain,
     grid: GaussianGrid,
@@ -403,35 +390,18 @@ def contractivity_sweep(
 ) -> SweepResult:
     """Solve the resolvent per (sigma, bump) and record Lp gradient ratios.
 
-    One linear solve serves every p; records are merged in deterministic
-    (domain, bump, sigma, p) order regardless of worker count.  Jobs run
-    on up to OU_CONTRACT_THREADS workers (default 1).
+    One linear solve serves every p; records are sorted in deterministic
+    (domain, bump, sigma, p) order.
     """
     operators: dict[float, OuOperator] = {
         float(s): assemble_ou_operator(grid, float(s)) for s in sigmas
     }
-    jobs = [(float(s), b) for s in sigmas for b in bumps]
-
-    def run(k: int):
-        sigma, bump = jobs[k]
-        rhs = ScalarField.from_callable(grid, bump)
-        sol = solve_resolvent(
-            ResolventJob(grid, sigma, rhs), tol=solver_tol, operator=operators[sigma]
-        )
-        return k, sol
-
-    cap = _worker_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = dict(pool.map(run, range(len(jobs))))
-    else:
-        results = dict(run(k) for k in range(len(jobs)))
-
     records: list[ContractRecord] = []
     solutions = {}
     h_max = float(np.max(grid.h))
-    for k, (sigma, bump) in enumerate(jobs):
-        sol = results[k]
+    for sigma, bump in [(float(s), b) for s in sigmas for b in bumps]:
+        job = ResolventJob(grid, sigma, ScalarField.from_callable(grid, bump))
+        sol = solve_resolvent(job, tol=solver_tol, operator=operators[sigma])
         if keep_solutions:
             solutions[(sigma, bump.label)] = sol
         for p in ps:

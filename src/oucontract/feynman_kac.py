@@ -10,13 +10,12 @@ space).  Paths are advanced by Euler-Maruyama,
 
     X_{k+1} = X_k (1 - dt) + sqrt(2 dt) xi_k,
 
-killed at the first grid time where G(X_k) >= 0 (no crossing correction,
-the O(sqrt(dt)) exit bias is part of the declared budget).  The time
-integral defaults to a trapezoid rule in the discounted integrand (half
-weight at k = 0), whose quadrature error is O(dt^2); the left-endpoint
-variant with midpoint discounting is kept as ``time_rule="midpoint"``.
+killed at the first grid time where G(X_k) >= 0, with no crossing
+correction.  The time integral is a trapezoid rule in the discounted
+integrand (half weight at k = 0), whose quadrature error is O(dt^2).
 Paths are truncated at t_max with exp(-t_max/sigma) <= 1e-6 by
-construction.
+construction.  ``bias_budget`` declares sup|f| * (cap + dt) only: the
+O(sqrt(dt)) exit bias of grid-time killing is not inside it.
 
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
@@ -42,7 +41,6 @@ class KilledPathEstimator:
     n_paths: int = 100_000
     seed: int = 0
     t_max: float | None = None
-    time_rule: str = "trapezoid"  # or "midpoint": discount weight placement
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -62,25 +60,12 @@ class KilledPathEstimator:
     def n_steps(self) -> int:
         return int(math.ceil(self.t_max / self.dt))
 
-    def step_weight(self, k: int) -> float:
-        """Quadrature weight for the contribution of f(X_k).
-
-        trapezoid: exp(-t_k/sigma), halved at k = 0 (second order for the
-        discounted integrand); midpoint: exp(-(k+1/2) dt/sigma), the
-        discount taken at the interval midpoint (first order in f).
-        """
-        if self.time_rule == "trapezoid":
-            w = math.exp(-k * self.dt / self.sigma)
-            return 0.5 * w if k == 0 else w
-        if self.time_rule == "midpoint":
-            return math.exp(-(k + 0.5) * self.dt / self.sigma)
-        raise ValueError(f"unknown time_rule {self.time_rule!r}")
-
     def bias_budget(self, sup_f: float) -> float:
         """Declared deterministic-bias allowance for |estimate - truth|.
 
         Cap truncation (<= 1e-6 relative) plus an O(dt) weak-error
-        allowance for the Euler step and grid-time killing.
+        allowance for the Euler step.  The O(sqrt(dt)) exit bias of
+        grid-time killing is not covered.
         """
         return abs(sup_f) * (math.exp(-self.t_max / self.sigma) + self.dt)
 
@@ -113,6 +98,72 @@ def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
         raise ValueError(f"start point {x} is not interior to the domain")
 
 
+def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-path discounted occupation sums from v start points.
+
+    Path j draws the same noise xi_k at every start (common random
+    numbers), so differences between starts are low variance.  A path
+    column is compacted away once it is dead at every start; until then its
+    dead rows are stepped but masked out of the sums.  Returns the per-path
+    estimates, shape (v, n_paths), and the number of steps run.
+    """
+    v, d = starts.shape
+    n = est.n_paths
+    rng = np.random.default_rng(est.seed)
+    states = np.repeat(starts[:, None, :], n, axis=1)  # (v, m, d), m live columns
+    totals = np.zeros((v, n))  # per original path, written on death/cap
+    acc = np.zeros((v, n))
+    path_id = np.arange(n)
+    alive = np.ones((v, n), dtype=bool)
+    noise = np.empty((n, d))
+    masked = False
+    sqrt_step = math.sqrt(2.0 * est.dt)
+    decay = 1.0 - est.dt
+    steps_used = 0
+    for k in range(est.n_steps):
+        steps_used = k + 1
+        m = states.shape[1]
+        # trapezoid rule in the discounted integrand: half weight at k = 0
+        w = math.exp(-k * est.dt / est.sigma)
+        if k == 0:
+            w *= 0.5
+        # f may return a view into the state buffer, so never scale fv
+        # in place; the masked branch allocates a fresh array anyway
+        fv = np.asarray(f(states.reshape(v * m, d)), dtype=float).reshape(v, m)
+        if masked:
+            fv = fv * alive
+            fv *= w
+            acc += fv
+        else:
+            acc += w * fv
+        buf = noise[:m]
+        rng.standard_normal(out=buf)
+        states *= decay
+        buf *= sqrt_step
+        states += buf
+        if est.domain is None:
+            continue
+        inside = np.asarray(est.domain.value(states.reshape(v * m, d))) < 0.0
+        alive &= inside.reshape(v, m)
+        n_alive = int(np.count_nonzero(alive))
+        if n_alive == 0:
+            break
+        masked = n_alive < alive.size
+        if masked:
+            live = alive.any(axis=0)
+            if m - int(np.count_nonzero(live)) > m // 8:
+                dead = ~live
+                totals[:, path_id[dead]] = acc[:, dead]
+                states = np.ascontiguousarray(states[:, live])
+                acc = acc[:, live]
+                path_id = path_id[live]
+                alive = alive[:, live]
+                masked = n_alive < alive.size
+    if path_id.size:
+        totals[:, path_id] = acc
+    return totals * (est.dt / est.sigma), steps_used
+
+
 def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """Estimate u(x) = (I - sigma*L)^-1 f at one interior point.
 
@@ -122,113 +173,24 @@ def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _require_interior(est.domain, x)
-    d = x.size
-    rng = np.random.default_rng(est.seed)
+    per_path, steps_used = _killed_paths(est, f, x[None, :])
+    per_path = per_path[0]
     n = est.n_paths
-    states = np.tile(x, (n, 1))
-    acc_total = np.zeros(n)   # per original path, written on death/cap
-    acc_live = np.zeros(n)
-    path_id = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    noise = np.empty((n, d))
-    n_dead = 0
-    sqrt_step = math.sqrt(2.0 * est.dt)
-    decay = 1.0 - est.dt
-    steps_used = 0
-    for k in range(est.n_steps):
-        steps_used = k + 1
-        m = states.shape[0]
-        w = est.step_weight(k)
-        # f may return a view into the state buffer, so never scale fv
-        # in place; the masked branch allocates a fresh array anyway
-        fv = np.asarray(f(states), dtype=float)
-        if n_dead:
-            fv = fv * alive
-            fv *= w
-            acc_live += fv
-        else:
-            acc_live += w * fv
-        buf = noise[:m]
-        rng.standard_normal(out=buf)
-        np.multiply(states, decay, out=states)
-        np.multiply(buf, sqrt_step, out=buf)
-        states += buf
-        if est.domain is not None:
-            inside = np.asarray(est.domain.value(states)) < 0.0
-            np.logical_and(alive, inside, out=alive)
-            n_dead = m - int(np.count_nonzero(alive))
-            if n_dead == m:
-                break
-            # compact the buffers once enough rows have died; dead rows
-            # are stepped but masked out of the accumulator meanwhile
-            if n_dead > m // 8:
-                dead = ~alive
-                acc_total[path_id[dead]] = acc_live[dead]
-                states = np.ascontiguousarray(states[alive])
-                acc_live = acc_live[alive]
-                path_id = path_id[alive]
-                alive = np.ones(states.shape[0], dtype=bool)
-                n_dead = 0
-    if path_id.size:
-        acc_total[path_id] = acc_live
-    per_path = acc_total * (est.dt / est.sigma)
     value = float(np.mean(per_path))
     stderr = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(value, stderr, x, n, est.dt, est.sigma, est.seed,
                       n_steps_used=steps_used)
 
 
-def _mc_resolvent_batch(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common-random-number estimates for several start points.
-
-    Every start variant consumes the same noise xi_k per (path, step), so
-    differences between variants are low variance.  Returns (values, ses)
-    aligned with ``starts``.
-    """
-    starts = np.asarray(starts, dtype=float)
-    v, d = starts.shape
-    n = est.n_paths
-    rng = np.random.default_rng(est.seed)
-    states = np.repeat(starts[:, None, :], n, axis=1)  # (v, n, d)
-    acc = np.zeros((v, n))
-    alive = np.ones((v, n), dtype=bool)
-    sqrt_step = math.sqrt(2.0 * est.dt)
-    decay = 1.0 - est.dt
-    for k in range(est.n_steps):
-        w = est.step_weight(k)
-        fv = np.asarray(f(states.reshape(v * n, d)), dtype=float).reshape(v, n)
-        acc += w * fv * alive
-        xi = rng.standard_normal((n, d))
-        states = states * decay + sqrt_step * xi[None, :, :]
-        if est.domain is not None:
-            g = np.asarray(est.domain.value(states.reshape(v * n, d))).reshape(v, n)
-            alive &= g < 0.0
-            if not alive.any():
-                break
-    per_path = acc * (est.dt / est.sigma)
-    values = per_path.mean(axis=1)
-    ses = per_path.std(axis=1, ddof=1) / math.sqrt(n)
-    return values, ses
-
-
 def mc_gradient_probe(est: KilledPathEstimator, f, x, h_fd: float) -> np.ndarray:
-    """Central difference of paired-seed resolvent estimates per axis.
+    """Central difference of common-random-number estimates per axis.
 
     Requires every probe point x +- h_fd e_i to be interior.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    starts = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h_fd
-        starts.append(x + e)
-        starts.append(x - e)
-    starts = np.asarray(starts)
+    steps = h_fd * np.eye(x.size)
+    starts = np.stack([x + steps, x - steps], axis=1).reshape(-1, x.size)
     for s in starts:
         _require_interior(est.domain, s)
-    values, _ = _mc_resolvent_batch(est, f, starts)
-    grad = np.empty(d)
-    for i in range(d):
-        grad[i] = (values[2 * i] - values[2 * i + 1]) / (2.0 * h_fd)
-    return grad
+    values = _killed_paths(est, f, starts)[0].mean(axis=1)
+    return (values[0::2] - values[1::2]) / (2.0 * h_fd)

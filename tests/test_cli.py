@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,10 @@ class TestPlotdataShapes:
         assert written
         content = written[0].read_text().splitlines()
         assert content[0].startswith("#")
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
+    def test_config_file_matches_defaults(self, suite):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{suite}.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]

@@ -218,17 +218,6 @@ class TestSweep:
         keys = [r.key() for r in r1.records]
         assert keys == sorted(keys)
 
-    def test_worker_cap_preserves_results(self, monkeypatch):
-        dom = halfspace(2, 1.0)
-        grid = GaussianGrid.build(dom, -8, 8, 0.2)
-        bumps = [make_bump(dom, [-3.0, 0.0], 1.0, 0.4, label="b0")]
-        seq = contractivity_sweep(dom, grid, [0.1, 1.0], [2.0], bumps)
-        monkeypatch.setenv("OU_CONTRACT_THREADS", "3")
-        par = contractivity_sweep(dom, grid, [0.1, 1.0], [2.0], bumps)
-        assert [r.key() for r in seq.records] == [r.key() for r in par.records]
-        for a, b in zip(seq.records, par.records):
-            assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
-
     def test_unconverged_records_flagged(self):
         dom = halfspace(2, 1.0)
         grid = GaussianGrid.build(dom, -8, 8, 0.1)

@@ -136,6 +136,16 @@ class TestGradientProbe:
         g = mc_gradient_probe(est, lambda p: p[:, 0] ** 2, np.array([0.0]), 0.05)
         assert abs(g[0]) <= 5e-3
 
+    def test_compaction_keeps_paired_starts_identical(self):
+        # f and the kill see only x1, so the +-e2 starts share every kill
+        # and every f value; several start rows per path column exercise
+        # the column compaction with v > 1
+        est = KilledPathEstimator(halfspace(2, 1.0), sigma=0.5, dt=2e-3,
+                                  n_paths=5000, seed=41)
+        g = mc_gradient_probe(est, lambda p: np.exp(-(p[:, 0] + 2.0) ** 2),
+                              np.array([-1.3, 0.2]), 0.05)
+        assert g[1] == 0.0
+
     def test_probe_requires_interior_points(self):
         dom = halfspace(1, 1.0)
         est = KilledPathEstimator(dom, sigma=1.0, n_paths=10)
