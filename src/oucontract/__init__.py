@@ -46,6 +46,7 @@ from .contract import (
     BumpFunction,
     ContractRecord,
     boundary_flux_integral,
+    boundary_probes,
     check_boundary_normal_slope,
     check_pointwise_inequality,
     contractivity_sweep,

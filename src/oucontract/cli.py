@@ -21,6 +21,7 @@ from . import __version__
 from .contract import (
     BumpFunction,
     boundary_flux_integral,
+    boundary_probes,
     check_boundary_normal_slope,
     check_pointwise_inequality,
     contractivity_sweep,
@@ -380,6 +381,7 @@ def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
         p_tol = cfg["pointwise_tol_h"] * h * tol_scale
         s_tol = cfg["slope_tol_h"] * h * tol_scale
         f_tol = cfg["flux_tol_h"] * h * tol_scale
+        probes = boundary_probes(grid, dom, cfg["n_boundary_samples"], seed)
         for sigma in sweep_cfg["sigmas"]:
             for bump in bumps:
                 sol = result.solutions[(float(sigma), bump.label)]
@@ -392,8 +394,7 @@ def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": p_tol},
                 ))
-                slope = check_boundary_normal_slope(
-                    sol.u, dom, eps, cfg["n_boundary_samples"], seed, s_tol)
+                slope = check_boundary_normal_slope(sol.u, probes, eps, s_tol)
                 rep.add(CheckRecord(
                     name=f"boundary-normal-slope:{key}",
                     observed=slope.max_slope, bound=s_tol,
@@ -516,26 +517,24 @@ def suite_converge(cfg, seed, tol_scale, do_assert) -> SuiteReport:
     spec = _SHIPPED_SPECS[cfg["spec"]]()
     rows_out = []
     rows = resolvent_convergence_study(
-        spec, cfg["sigma"], cfg["dims"], cfg["bump_center"], cfg["bump_radius"],
-        cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"])
-    for row in rows:
+        spec, [cfg["sigma"], cfg["sigma_zero"]], cfg["dims"], cfg["bump_center"],
+        cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"])
+    # (sigma, n) order: the rows at sigma, then the rows at sigma_zero
+    half = len(rows) // 2
+    for row in rows[:half]:
         rows_out.append([cfg["sigma"], row.n, row.d_l2, row.d_grad,
                          row.residual_lo, row.residual_hi])
         rep.add(CheckRecord(
             f"convergence-finite:n={row.n}", row.d_l2, 1e30,
             row.finite() and row.d_l2 < 1e30, do_assert,
             {"sigma": cfg["sigma"], "n": row.n}))
-    by_n = {row.n: row for row in rows}
+    by_n = {row.n: row for row in rows[:half]}
     if 1 in by_n and 2 in by_n:
         rep.add(CheckRecord(
             "convergence-monotone:D2<=D1", by_n[2].d_l2, by_n[1].d_l2,
             by_n[2].d_l2 <= by_n[1].d_l2, do_assert,
             {"sigma": cfg["sigma"]}))
-    rows_zero = resolvent_convergence_study(
-        spec, cfg["sigma_zero"], cfg["dims"], cfg["bump_center"],
-        cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"],
-        cfg["solver_tol"])
-    for row in rows_zero:
+    for row in rows[half:]:
         rows_out.append([cfg["sigma_zero"], row.n, row.d_l2, row.d_grad,
                          row.residual_lo, row.residual_hi])
         lim = cfg["d_zero_limit"] * tol_scale

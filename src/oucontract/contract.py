@@ -240,36 +240,45 @@ class BoundarySlopeReport:
         return len(self.violations) == 0
 
 
-def check_boundary_normal_slope(
-    u: ScalarField,
+@dataclass
+class BoundaryProbes:
+    """Interior probe pairs behind sampled boundary points of one grid.
+
+    Row i holds the probes p1[i] = x - t1*nu and p2[i] = x - t2*nu of one
+    boundary point x with outer normal nu, and dt[i] = t2 - t1.
+    """
+
+    p1: np.ndarray  # (k, dim)
+    p2: np.ndarray  # (k, dim)
+    dt: np.ndarray  # (k,)
+    n_skipped: int
+
+
+def boundary_probes(
+    grid: GaussianGrid,
     domain: LevelSetDomain,
-    eps: float,
     n_samples: int,
     seed: int,
-    tol: float,
-) -> BoundarySlopeReport:
-    """One-sided normal slope of phi_eps at sampled boundary points <= tol.
+) -> BoundaryProbes:
+    """Project seeded Gaussian samples to the boundary and place probe pairs.
 
-    The slope is (q(x - t1*nu) - q(x - t2*nu)) / (t2 - t1) with t1 < t2
-    chosen as the smallest multiples of the grid diagonal whose
-    interpolation cells are fully interior; samples where no such probes
-    exist inside the grid are skipped and counted.
+    t1 < t2 = t1 + 2*diag are the smallest multiples of the grid diagonal
+    whose interpolation cells are fully interior; samples whose projection
+    fails or that have no such probes inside the grid are skipped and
+    counted.  The probes depend on the grid and domain only, so one set
+    serves every solution on the grid.
     """
-    grid = u.grid
-    _, phi_eps = gradient_magnitude_fields(u, eps)
-    interp = grid.interpolator(phi_eps.values)
     mask_interp = grid.interpolator(grid.interior.astype(float))
     diag = float(np.linalg.norm(grid.h))
     rng = np.random.default_rng(seed)
-    slopes = []
+    p1s, p2s, dts = [], [], []
     n_skipped = 0
-    for i in range(n_samples):
+    for _ in range(n_samples):
         try:
             bp = project_to_boundary(domain, rng.standard_normal(grid.dim))
         except ProjectionError:
             n_skipped += 1
             continue
-        probe = None
         for mult in (1.5, 2.0, 3.0, 4.0, 6.0):
             t1 = mult * diag
             t2 = t1 + 2.0 * diag
@@ -279,21 +288,35 @@ def check_boundary_normal_slope(
                 mask_interp(p1[None, :])[0] > 1.0 - 1e-12
                 and mask_interp(p2[None, :])[0] > 1.0 - 1e-12
             ):
-                probe = (p1, p2, t2 - t1)
+                p1s.append(p1)
+                p2s.append(p2)
+                dts.append(t2 - t1)
                 break
-        if probe is None:
+        else:
             n_skipped += 1
-            continue
-        p1, p2, dt = probe
-        slope = float((interp(p1[None, :])[0] - interp(p2[None, :])[0]) / dt)
-        slopes.append(slope)
-    if not slopes:
-        return BoundarySlopeReport(0, n_skipped, 0.0, [])
-    slopes_arr = np.asarray(slopes)
-    violations = [
-        (int(i), float(s - tol)) for i, s in enumerate(slopes_arr) if s > tol
-    ]
-    return BoundarySlopeReport(len(slopes), n_skipped, float(np.max(slopes_arr)), violations)
+    return BoundaryProbes(np.array(p1s).reshape(-1, grid.dim),
+                          np.array(p2s).reshape(-1, grid.dim), np.array(dts), n_skipped)
+
+
+def check_boundary_normal_slope(
+    u: ScalarField,
+    probes: BoundaryProbes,
+    eps: float,
+    tol: float,
+) -> BoundarySlopeReport:
+    """One-sided normal slope of phi_eps at sampled boundary points <= tol.
+
+    The slope is (q(p1) - q(p2)) / (t2 - t1) at each probe pair of
+    ``probes`` (see ``boundary_probes``), which must belong to u's grid.
+    """
+    if probes.dt.size == 0:
+        return BoundarySlopeReport(0, probes.n_skipped, 0.0, [])
+    _, phi_eps = gradient_magnitude_fields(u, eps)
+    interp = u.grid.interpolator(phi_eps.values)
+    slopes = (interp(probes.p1) - interp(probes.p2)) / probes.dt
+    violations = [(int(i), float(s - tol)) for i, s in enumerate(slopes) if s > tol]
+    return BoundarySlopeReport(slopes.size, probes.n_skipped, float(np.max(slopes)),
+                               violations)
 
 
 def boundary_flux_integral(
@@ -357,13 +380,15 @@ def default_contract_tol(h: float) -> float:
 def gradient_lp_ratio(
     u: ScalarField,
     bump: BumpFunction,
-    p: float,
-) -> tuple[float, float]:
-    """(||grad u||_p, ||grad y||_p) over full-stencil interior nodes.
+    ps,
+) -> list[tuple[float, float]]:
+    """(||grad u||_p, ||grad y||_p) over full-stencil interior nodes, per p.
 
-    The right side uses the bump's analytic gradient, exact on the node
-    set; the bump's margin keeps its support away from the excluded cut
-    band, so the restriction loses nothing on that side.
+    The gradients and weights do not depend on p and are computed once for
+    the whole sequence ``ps``.  The right side uses the bump's analytic
+    gradient, exact on the node set; the bump's margin keeps its support
+    away from the excluded cut band, so the restriction loses nothing on
+    that side.
     """
     grid = u.grid
     mask = grid.full_stencil
@@ -374,9 +399,13 @@ def gradient_lp_ratio(
     lhs_vals = np.linalg.norm(grad_u, axis=-1)
     coords = grid.node_coordinates().reshape(grid.shape + (grid.dim,))[mask]
     rhs_vals = bump.grad_norm(coords)
-    lhs = float(np.sum(w * lhs_vals**p) ** (1.0 / p))
-    rhs = float(np.sum(w * rhs_vals**p) ** (1.0 / p))
-    return lhs, rhs
+    out = []
+    for p in ps:
+        p = float(p)
+        lhs = float(np.sum(w * lhs_vals**p) ** (1.0 / p))
+        rhs = float(np.sum(w * rhs_vals**p) ** (1.0 / p))
+        out.append((lhs, rhs))
+    return out
 
 
 def contractivity_sweep(
@@ -404,8 +433,8 @@ def contractivity_sweep(
         sol = solve_resolvent(job, tol=solver_tol, operator=operators[sigma])
         if keep_solutions:
             solutions[(sigma, bump.label)] = sol
-        for p in ps:
-            lhs, rhs = gradient_lp_ratio(sol.u, bump, float(p))
+        pairs = gradient_lp_ratio(sol.u, bump, ps) if len(ps) else []
+        for p, (lhs, rhs) in zip(ps, pairs):
             ratio = lhs / rhs if rhs > 0 else math.inf
             records.append(
                 ContractRecord(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,9 @@ from .solver import ResolventJob, solve_resolvent
 BM = "brownian_motion"
 BRIDGE = "brownian_bridge"
 _TRACE_INTEGRAL = {BM: 0.5, BRIDGE: 1.0 / 6.0}
-_EVAL_CHUNK = 65536
+# rows of xi per block of G: the (rows, s-nodes) path temporaries stay
+# within a few hundred kB, so each block is evaluated in cache
+_EVAL_CHUNK = 256
 
 
 def composite_gauss_legendre(n_panels: int, nodes_per_panel: int = 8):
@@ -589,6 +591,7 @@ class ConvergenceRow:
     d_grad: float
     residual_lo: float
     residual_hi: float
+    sigma: float
 
     def finite(self) -> bool:
         return math.isfinite(self.d_l2) and math.isfinite(self.d_grad)
@@ -596,7 +599,7 @@ class ConvergenceRow:
 
 def resolvent_convergence_study(
     spec: FunctionalSpec,
-    sigma: float,
+    sigma: float | Sequence[float],
     dims=(1, 2),
     bump_center: float = 3.2,
     bump_radius: float = 1.0,
@@ -617,6 +620,12 @@ def resolvent_convergence_study(
         D_n      = || u_n - u_{n+1} ||_L2(gamma),
         D_n,grad = || grad u_n - grad u_{n+1} ||_L2(gamma).
 
+    ``sigma`` is one value or a sequence of values.  The domain, grid and
+    right-hand side of each truncation are built once and shared by every
+    sigma; the solutions of one sigma are dropped before the next is
+    solved.  Rows come in (sigma, n) order, sigma in the given order, so a
+    scalar sigma gives one row per n.
+
     No rate is asserted anywhere; the rows are the raw observables.
     ``domain_for(n)`` overrides the per-truncation domain (used to probe
     genuinely first-coordinate-cylindrical families, whose differences
@@ -625,10 +634,11 @@ def resolvent_convergence_study(
     dims = sorted(set(int(n) for n in dims))
     if min(dims) < 1 or max(dims) > 3:
         raise ValueError("dims must be within {1, 2, 3}")
+    sigmas = [float(s) for s in np.atleast_1d(sigma)]
     needed = sorted(set(dims) | {n + 1 for n in dims})
     bump = BumpFunction(np.array([bump_center]), bump_radius, label="axis1-bump")
 
-    solutions: dict[int, dict] = {}
+    rhs_by_n: dict[int, ScalarField] = {}
     for n in needed:
         if domain_for is not None:
             dom = domain_for(n)
@@ -637,7 +647,20 @@ def resolvent_convergence_study(
         grid = GaussianGrid.build(dom, -box, box, h, dim=n)
         if grid.n_interior == 0:
             raise RuntimeError(f"truncated domain at n={n} misses the grid box")
-        rhs = ScalarField.from_callable(grid, lambda pts: bump(pts[:, :1]))
+        rhs_by_n[n] = ScalarField.from_callable(grid, lambda pts: bump(pts[:, :1]))
+
+    rows: list[ConvergenceRow] = []
+    for s in sigmas:
+        rows.extend(_convergence_rows(rhs_by_n, s, dims, gh_nodes, solver_tol))
+    return rows
+
+
+def _convergence_rows(rhs_by_n: dict, sigma: float, dims, gh_nodes: int,
+                      solver_tol: float) -> list[ConvergenceRow]:
+    """D_n for each n in dims at one sigma, from the prepared right-hand sides."""
+    solutions: dict[int, dict] = {}
+    for n, rhs in rhs_by_n.items():
+        grid = rhs.grid
         sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=solver_tol)
         if not sol.converged:
             raise RuntimeError(
@@ -645,7 +668,6 @@ def resolvent_convergence_study(
             )
         grad = discrete_gradient(sol.u)
         solutions[n] = {
-            "grid": grid,
             "u": grid.interpolator(sol.u.values),
             "grad": [grid.interpolator(grad[..., a]) for a in range(n)],
             "residual": sol.residual,
@@ -665,5 +687,6 @@ def resolvent_convergence_study(
             g_hi = hi["grad"][a](pts)
             acc += (g_lo - g_hi) ** 2
         d_grad = math.sqrt(float(np.sum(rule.weights * acc)))
-        rows.append(ConvergenceRow(n, d_l2, d_grad, lo["residual"], hi["residual"]))
+        rows.append(ConvergenceRow(n, d_l2, d_grad, lo["residual"], hi["residual"],
+                                   sigma))
     return rows

@@ -285,19 +285,18 @@ def test_criterion_9_convergence_study():
     t0 = time.time()
     cfg = DEFAULT_CONFIGS["converge"]
     spec = rational_reference_spec(kind=BM)
-    rows = resolvent_convergence_study(
-        spec, 1.0, cfg["dims"], cfg["bump_center"], cfg["bump_radius"],
+    both = resolvent_convergence_study(
+        spec, [1.0, 1e-4], cfg["dims"], cfg["bump_center"], cfg["bump_radius"],
         cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"],
     )
+    rows = [r for r in both if r.sigma == 1.0]
+    rows_zero = [r for r in both if r.sigma == 1e-4]
+    assert len(rows) == len(rows_zero) == len(cfg["dims"])
     by_n = {r.n: r for r in rows}
     for r in rows:
         assert r.finite()
     assert by_n[2].d_l2 <= by_n[1].d_l2, (by_n[1].d_l2, by_n[2].d_l2)
 
-    rows_zero = resolvent_convergence_study(
-        spec, 1e-4, cfg["dims"], cfg["bump_center"], cfg["bump_radius"],
-        cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"],
-    )
     for r in rows_zero:
         assert r.d_l2 <= 0.02
     elapsed = time.time() - t0

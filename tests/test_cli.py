@@ -195,3 +195,34 @@ class TestShippedConfigs:
     def test_config_file_matches_defaults(self, suite):
         path = Path(__file__).resolve().parents[1] / "configs" / f"{suite}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]
+
+
+class TestConvergeSuite:
+    def test_record_names_and_csv_sigma_order(self, tmp_path):
+        from oucontract.wiener import rational_reference_spec, resolvent_convergence_study
+
+        cfg = {**DEFAULT_CONFIGS["converge"], "h": 0.3, "gh_nodes": 8}
+        rep = run_suite("converge", cfg, tmp_path, seed=1)
+        assert [rec.name for rec in rep.records] == [
+            "convergence-finite:n=1",
+            "convergence-finite:n=2",
+            "convergence-monotone:D2<=D1",
+            "convergence-identity-limit:n=1",
+            "convergence-identity-limit:n=2",
+        ]
+        # sigma rows, then sigma_zero rows, each equal to a scalar study call
+        expected = [
+            [sigma, row.n, row.d_l2]
+            for sigma in (cfg["sigma"], cfg["sigma_zero"])
+            for row in resolvent_convergence_study(
+                rational_reference_spec(), sigma, cfg["dims"], cfg["bump_center"],
+                cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"],
+                cfg["solver_tol"])
+        ]
+        lines = [line.split(",") for line in
+                 (tmp_path / "converge_convergence.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        cols = [lines[0].index(name) for name in ("sigma", "n", "d_l2")]
+        table = [[float(r[cols[0]]), int(r[cols[1]]), float(r[cols[2]])]
+                 for r in lines[1:]]
+        assert table == expected

@@ -4,6 +4,7 @@ import pytest
 from oucontract.contract import (
     BumpFunction,
     boundary_flux_integral,
+    boundary_probes,
     check_boundary_normal_slope,
     check_pointwise_inequality,
     contractivity_sweep,
@@ -150,16 +151,38 @@ class TestBoundaryChecks:
     def test_zero_solution_slope(self, halfline):
         dom, grid, _ = halfline
         u = ScalarField.zeros(grid)
-        rep = check_boundary_normal_slope(u, dom, 1e-3, 10, 0, 1e-12)
+        rep = check_boundary_normal_slope(u, boundary_probes(grid, dom, 10, 0),
+                                          1e-3, 1e-12)
         assert rep.ok
 
     def test_halfline_slope_nonpositive(self, halfline, halfline_solution):
         dom, grid, _ = halfline
         rep = check_boundary_normal_slope(
-            halfline_solution.u, dom, 1e-3, 20, 3, 10 * 0.02
+            halfline_solution.u, boundary_probes(grid, dom, 20, 3), 1e-3, 10 * 0.02
         )
         assert rep.ok
         assert rep.n_checked > 0
+
+    def test_slopes_match_pointwise_interpolation(self):
+        # the batched slope evaluation against one interpolation per probe
+        dom = ball(2, 1.0)
+        grid = GaussianGrid.build(dom, -1.3, 1.3, 0.05)
+        bump = make_bump(dom, [0.0, 0.0], 0.45, 0.3)
+        sol = solve_resolvent(
+            ResolventJob(grid, 0.5, ScalarField.from_callable(grid, bump)), tol=1e-11
+        )
+        probes = boundary_probes(grid, dom, 24, 5)
+        assert probes.dt.size > 0
+        _, phi_eps = gradient_magnitude_fields(sol.u, 1e-3)
+        interp = grid.interpolator(phi_eps.values)
+        ref = [float((interp(a[None, :])[0] - interp(b[None, :])[0]) / dt)
+               for a, b, dt in zip(probes.p1, probes.p2, probes.dt)]
+        tol = float(np.median(ref))
+        rep = check_boundary_normal_slope(sol.u, probes, 1e-3, tol)
+        assert rep.n_checked == len(ref)
+        assert rep.max_slope == max(ref)
+        assert rep.violations == [(i, s - tol) for i, s in enumerate(ref) if s > tol]
+        assert rep.violations
 
     def test_flux_integral_zero_solution(self, halfline):
         _, grid, _ = halfline
@@ -203,9 +226,20 @@ class TestSweep:
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
             gradient_magnitude_fields(sol.u, eps)  # eps-dependent side fields
-            lhs, rhs = gradient_lp_ratio(sol.u, bump, 2.0)
+            [(lhs, rhs)] = gradient_lp_ratio(sol.u, bump, [2.0])
             ratios.append(lhs / rhs)
         assert max(ratios) - min(ratios) < 1e-6
+
+    def test_lp_ratio_sequence_equals_single_p_calls(self):
+        dom = halfspace(2, 1.0)
+        grid = GaussianGrid.build(dom, -8, 8, 0.2)
+        bump = make_bump(dom, [-3.0, 0.0], 1.0, 0.4, label="b0")
+        sol = solve_resolvent(
+            ResolventJob(grid, 1.0, ScalarField.from_callable(grid, bump)), tol=1e-10
+        )
+        ps = [1.5, 2.0, 4.0]
+        pairs = gradient_lp_ratio(sol.u, bump, ps)
+        assert pairs == [gradient_lp_ratio(sol.u, bump, [p])[0] for p in ps]
 
     def test_records_sorted_deterministically(self):
         dom = halfspace(2, 1.0)

@@ -295,3 +295,32 @@ class TestConvergenceStudy:
         b = resolvent_convergence_study(spec, 1.0, **kwargs)
         assert a[0].d_l2 == b[0].d_l2
         assert a[0].d_grad == b[0].d_grad
+
+    def test_sigma_list_equals_scalar_calls(self):
+        spec = rational_reference_spec()
+        kwargs = dict(dims=(1,), bump_center=3.2, bump_radius=1.0,
+                      box=5.0, h=0.2, gh_nodes=10)
+        sigmas = [1.0, 0.1, 1e-4]
+        rows = resolvent_convergence_study(spec, sigmas, **kwargs)
+        expected = [row for s in sigmas
+                    for row in resolvent_convergence_study(spec, s, **kwargs)]
+        assert [(r.sigma, r.n) for r in rows] == [(s, 1) for s in sigmas]
+        assert rows == expected
+
+
+class TestCylindricalClassification:
+    def test_interior_mask_matches_pathwise_sign(self):
+        # 11^3 nodes: not a multiple of the evaluation block, so the
+        # classification crosses block boundaries and ends on a partial block
+        from oucontract.grid import GaussianGrid
+        from oucontract.wiener import _EVAL_CHUNK
+
+        spec = rational_reference_spec()
+        basis = KLBasis.build(spec.kind, 3)
+        grid = GaussianGrid.build(cylindrical_domain(spec, basis), -3.0, 3.0, 0.6)
+        assert grid.n_nodes > _EVAL_CHUNK and grid.n_nodes % _EVAL_CHUNK != 0
+        ref = np.array([pathwise_level_value(spec, basis, x)
+                        for x in grid.node_coordinates()])
+        assert np.min(np.abs(ref)) > 1e-9  # no node on the boundary
+        assert 0 < grid.n_interior < grid.n_nodes
+        assert np.array_equal(grid.interior.reshape(-1), ref < 0.0)
