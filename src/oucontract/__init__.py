@@ -14,7 +14,6 @@ from .gauss import (
     hermite_poly,
     lp_norm,
     sample_gaussian,
-    split_streams,
 )
 from .domains import (
     BoundaryPoint,

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from . import __version__
 from .contract import (
     BumpFunction,
+    ContractRecord,
     boundary_flux_integral,
     boundary_probes,
     check_boundary_normal_slope,
@@ -313,8 +315,7 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
         asserted = bool(sweep_cfg.get("assert_contractive", False)) and do_assert
         excesses = {}
         for r in result.records:
-            rows.append([r.domain, r.bump, r.sigma, r.p, r.lhs, r.rhs, r.ratio,
-                         r.h, r.residual, r.converged])
+            rows.append(list(astuple(r)))
             name = f"contract:{sweep_cfg['name']}:{r.bump}:sigma={r.sigma}:p={r.p}"
             assert_this = asserted and r.converged and r.p > 1.0
             rep.add(CheckRecord(
@@ -330,8 +331,7 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
             _, _, _, halved = _run_sweep(sweep_cfg, (grid_h or sweep_cfg["grid"]["h"]) / 2.0,
                                          cfg["solver_tol"])
             for r in halved.records:
-                rows.append([r.domain, r.bump, r.sigma, r.p, r.lhs, r.rhs, r.ratio,
-                             r.h, r.residual, r.converged])
+                rows.append(list(astuple(r)))
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p), 0.0)
                 if ex_coarse > 1e-6 and r.converged:
                     ex_fine = r.ratio - 1.0
@@ -351,8 +351,7 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                                          sweep_cfg["ps"], bumps,
                                          solver_tol=cfg["solver_tol"])
         for r in zero_sweep.records:
-            rows.append([r.domain, r.bump, r.sigma, r.p, r.lhs, r.rhs, r.ratio,
-                         r.h, r.residual, r.converged])
+            rows.append(list(astuple(r)))
             rep.add(CheckRecord(
                 name=f"sigma-zero:{sweep_cfg['name']}:{r.bump}:p={r.p}",
                 observed=r.ratio, bound=hi_band,
@@ -361,10 +360,10 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                 inputs={"sweep": sweep_cfg["name"], "p": r.p, "bump": r.bump,
                         "sigma": cfg["sigma_zero"]},
             ))
+    # one column per ContractRecord field, in field order
     rep.tables["records"] = Table(
         "contractivity sweep records: Lp gradient norms of resolvent output vs input",
-        ["domain", "bump", "sigma", "p", "lhs", "rhs", "ratio", "h",
-         "residual", "converged"],
+        [f.name for f in fields(ContractRecord)],
         rows,
     )
     return rep
@@ -520,22 +519,23 @@ def suite_converge(cfg, seed, tol_scale, do_assert) -> SuiteReport:
         spec, [cfg["sigma"], cfg["sigma_zero"]], cfg["dims"], cfg["bump_center"],
         cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"])
     # (sigma, n) order: the rows at sigma, then the rows at sigma_zero
-    half = len(rows) // 2
-    for row in rows[:half]:
-        rows_out.append([cfg["sigma"], row.n, row.d_l2, row.d_grad,
+    at_sigma = [row for row in rows if row.sigma == cfg["sigma"]]
+    at_zero = [row for row in rows if row.sigma == cfg["sigma_zero"]]
+    for row in at_sigma:
+        rows_out.append([row.sigma, row.n, row.d_l2, row.d_grad,
                          row.residual_lo, row.residual_hi])
         rep.add(CheckRecord(
             f"convergence-finite:n={row.n}", row.d_l2, 1e30,
             row.finite() and row.d_l2 < 1e30, do_assert,
             {"sigma": cfg["sigma"], "n": row.n}))
-    by_n = {row.n: row for row in rows[:half]}
+    by_n = {row.n: row for row in at_sigma}
     if 1 in by_n and 2 in by_n:
         rep.add(CheckRecord(
             "convergence-monotone:D2<=D1", by_n[2].d_l2, by_n[1].d_l2,
             by_n[2].d_l2 <= by_n[1].d_l2, do_assert,
             {"sigma": cfg["sigma"]}))
-    for row in rows[half:]:
-        rows_out.append([cfg["sigma_zero"], row.n, row.d_l2, row.d_grad,
+    for row in at_zero:
+        rows_out.append([row.sigma, row.n, row.d_l2, row.d_grad,
                          row.residual_lo, row.residual_hi])
         lim = cfg["d_zero_limit"] * tol_scale
         rep.add(CheckRecord(

@@ -34,7 +34,6 @@ import numpy as np
 from .domains import LevelSetDomain, project_to_boundary, ProjectionError
 from .grid import GaussianGrid, ScalarField, discrete_gradient
 from .solver import (
-    OuOperator,
     ResolventJob,
     assemble_ou_operator,
     discrete_ou_apply,
@@ -42,6 +41,7 @@ from .solver import (
 )
 
 _SUPPORT_FLOOR = 1e-3  # below this 1 - |x-c|^2/r^2 the bump underflows to 0
+_SURROGATE_DELTA = 1e-3  # smoothing of t^p, p < 2, in boundary_flux_integral
 
 
 @dataclass(frozen=True)
@@ -319,13 +319,10 @@ def check_boundary_normal_slope(
                                violations)
 
 
-def boundary_flux_integral(
-    u: ScalarField,
-    eps: float,
-    p: float,
-    surrogate_delta: float = 1e-3,
-) -> float:
+def boundary_flux_integral(u: ScalarField, eps: float, p: float) -> float:
     """Cell quadrature of L_h(g(phi_eps)) over the deep interior.
+
+    g is ``convex_power_surrogate(p, _SURROGATE_DELTA)``.
 
     In the continuum this equals the outward boundary flux of g(phi_eps)
     weighted by the Gaussian density, which is <= 0 under the curvature
@@ -334,7 +331,7 @@ def boundary_flux_integral(
     """
     grid = u.grid
     _, phi_eps = gradient_magnitude_fields(u, eps)
-    g = convex_power_surrogate(p, surrogate_delta)
+    g = convex_power_surrogate(p, _SURROGATE_DELTA)
     psi = ScalarField(grid, g(phi_eps.values))
     l_psi = discrete_ou_apply(psi)
     core = grid.eroded_interior(2)
@@ -415,40 +412,38 @@ def contractivity_sweep(
     ps,
     bumps,
     solver_tol: float = 1e-10,
-    keep_solutions: bool = True,
 ) -> SweepResult:
     """Solve the resolvent per (sigma, bump) and record Lp gradient ratios.
 
-    One linear solve serves every p; records are sorted in deterministic
-    (domain, bump, sigma, p) order.
+    Each bump's right-hand side is built once and serves every sigma; one
+    operator is assembled per sigma, and one linear solve serves every p.
+    Every solution is kept in ``solutions``.  Records are sorted in
+    deterministic (domain, bump, sigma, p) order.
     """
-    operators: dict[float, OuOperator] = {
-        float(s): assemble_ou_operator(grid, float(s)) for s in sigmas
-    }
+    ys = [ScalarField.from_callable(grid, bump) for bump in bumps]
     records: list[ContractRecord] = []
     solutions = {}
     h_max = float(np.max(grid.h))
-    for sigma, bump in [(float(s), b) for s in sigmas for b in bumps]:
-        job = ResolventJob(grid, sigma, ScalarField.from_callable(grid, bump))
-        sol = solve_resolvent(job, tol=solver_tol, operator=operators[sigma])
-        if keep_solutions:
+    for sigma in (float(s) for s in sigmas):
+        op = assemble_ou_operator(grid, sigma)
+        for bump, y in zip(bumps, ys):
+            sol = solve_resolvent(ResolventJob(grid, sigma, y), tol=solver_tol, operator=op)
             solutions[(sigma, bump.label)] = sol
-        pairs = gradient_lp_ratio(sol.u, bump, ps) if len(ps) else []
-        for p, (lhs, rhs) in zip(ps, pairs):
-            ratio = lhs / rhs if rhs > 0 else math.inf
-            records.append(
-                ContractRecord(
-                    domain=domain.name,
-                    bump=bump.label,
-                    sigma=sigma,
-                    p=float(p),
-                    lhs=lhs,
-                    rhs=rhs,
-                    ratio=ratio,
-                    h=h_max,
-                    residual=sol.residual,
-                    converged=sol.converged,
+            pairs = gradient_lp_ratio(sol.u, bump, ps) if len(ps) else []
+            for p, (lhs, rhs) in zip(ps, pairs):
+                records.append(
+                    ContractRecord(
+                        domain=domain.name,
+                        bump=bump.label,
+                        sigma=sigma,
+                        p=float(p),
+                        lhs=lhs,
+                        rhs=rhs,
+                        ratio=lhs / rhs if rhs > 0 else math.inf,
+                        h=h_max,
+                        residual=sol.residual,
+                        converged=sol.converged,
+                    )
                 )
-            )
     records.sort(key=lambda r: r.key())
     return SweepResult(records, solutions)

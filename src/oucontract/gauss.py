@@ -162,13 +162,3 @@ def sample_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((count, dim))
-
-
-def split_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent child generators derived from one job seed.
-
-    Stream-splitting rule: SeedSequence(seed).spawn(n), child i feeds
-    worker i.  Deterministic for a fixed (seed, n).
-    """
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.default_rng(s) for s in children]

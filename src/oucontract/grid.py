@@ -151,7 +151,8 @@ class GaussianGrid:
         weights = self.node_weights().reshape(-1)[flat]
         return QuadratureRule(coords, weights, kind="grid-cell")
 
-    def interpolator(self, values: np.ndarray, fill_value: float = 0.0):
+    def interpolator(self, values: np.ndarray):
+        """Multilinear interpolant of nodal values, 0 outside the box."""
         from scipy.interpolate import RegularGridInterpolator
 
         return RegularGridInterpolator(
@@ -159,7 +160,7 @@ class GaussianGrid:
             values.reshape(self.shape),
             method="linear",
             bounds_error=False,
-            fill_value=fill_value,
+            fill_value=0.0,
         )
 
 

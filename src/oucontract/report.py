@@ -121,7 +121,7 @@ def emit_plotdata(report: SuiteReport, out_dir) -> list[Path]:
         written.append(path)
 
     records_table = report.tables.get("records")
-    if report.suite in ("contract", "all") and records_table is not None:
+    if report.suite == "contract" and records_table is not None:
         cols = records_table.columns
         i_sigma, i_p = cols.index("sigma"), cols.index("p")
         i_ratio = cols.index("ratio")

@@ -71,6 +71,12 @@ def basel_partial_sum(m: int) -> float:
     return float(np.sum((n - 0.5) ** -2))
 
 
+def _kl_frequencies(kind: str, m: int) -> np.ndarray:
+    """1/sqrt(lambda_n) for n = 1..m: (n - 1/2) pi for the motion, n pi for the bridge."""
+    idx = np.arange(1, m + 1, dtype=float)
+    return (idx - 0.5) * math.pi if kind == BM else idx * math.pi
+
+
 @dataclass
 class KLBasis:
     """Truncated Karhunen-Loeve system with an s-quadrature on [0, 1]."""
@@ -93,21 +99,11 @@ class KLBasis:
         if n_panels is None:
             n_panels = max(16, m)
         s, w = composite_gauss_legendre(n_panels, nodes_per_panel)
-        idx = np.arange(1, m + 1, dtype=float)
-        if kind == BM:
-            freq = (idx - 0.5) * math.pi
-        else:
-            freq = idx * math.pi
+        freq = _kl_frequencies(kind, m)
         lambdas = 1.0 / freq**2
         h = np.sqrt(2.0 * lambdas)[:, None] * np.sin(freq[:, None] * s[None, :])
         hp = math.sqrt(2.0) * np.cos(freq[:, None] * s[None, :])
         return cls(kind, m, lambdas, s, w, h, hp)
-
-    def h_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(1, self.m + 1, dtype=float)
-        freq = (idx - 0.5) * math.pi if self.kind == BM else idx * math.pi
-        return np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s[None, :])
 
     def gram_H(self) -> np.ndarray:
         """<h_i, h_j>_H = integral h_i' h_j' ds by quadrature."""
@@ -131,8 +127,7 @@ def trace_density(s, m: int, basis: KLBasis) -> np.ndarray | float:
     if m == 0:
         out = np.zeros_like(s_arr)
     else:
-        idx = np.arange(1, m + 1, dtype=float)
-        freq = (idx - 0.5) * math.pi if basis.kind == BM else idx * math.pi
+        freq = _kl_frequencies(basis.kind, m)
         h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s_arr[None, :])
         out = np.sum(h * h, axis=0)
     return float(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
@@ -166,9 +161,6 @@ class FunctionalSpec:
     def threshold_slack(self) -> float:
         """-(beta2 + gpp_sup * I_f) - alpha2 * r, nonnegative when admissible."""
         return -(self.beta2 + self.gpp_sup * self.trace_integral) - self.alpha2 * self.r
-
-    def curvature_lower_bound_numerator(self) -> float:
-        return -self.gpp_sup * self.trace_integral - self.alpha2 * self.r - self.beta2
 
 
 @dataclass
@@ -313,20 +305,20 @@ def load_functional_spec(path) -> FunctionalSpec:
 # induced level-set domains on R^m
 
 
-def cylindrical_domain(spec: FunctionalSpec, basis: KLBasis,
-                       require_valid: bool = True) -> LevelSetDomain:
+def cylindrical_domain(spec: FunctionalSpec, basis: KLBasis) -> LevelSetDomain:
     """G_m(xi) = integral g(sum xi_i h_i(s)) ds - r as a LevelSetDomain.
 
     Derivatives share the basis s-quadrature:
       dG/dxi_i    = integral g'(path) h_i ds,
       d2G/dxi_ij  = integral g''(path) h_i h_j ds.
+
+    The profile is validated first; a rejected spec raises ValueError.
     """
-    if require_valid:
-        report = validate_functional(spec)
-        if not report.ok:
-            raise ValueError(
-                f"functional spec rejected: {report.failures}, witness {report.witness}"
-            )
+    report = validate_functional(spec)
+    if not report.ok:
+        raise ValueError(
+            f"functional spec rejected: {report.failures}, witness {report.witness}"
+        )
     m = basis.m
     H = basis.h_table
     w = basis.s_weights
@@ -388,8 +380,9 @@ def cylindrical_curvature_audit(
     """Sample the boundary of the truncated domain and audit Hgamma.
 
     Per sample the audit checks Hgamma against the analytic lower bound
+    ``spec.threshold_slack() / |grad G_m(x)|``, that is
 
-        (-sup|g''| * I_f - alpha2 r - beta2) / |grad G_m(x)|
+        (-sup|g''| * I_f - alpha2 r - beta2) / |grad G_m(x)|,
 
     and records |dG/dxi_1|, which must stay above c * |integral h_1 ds|
     (the profile's slope never vanishes and h_1 has one sign).
@@ -397,7 +390,7 @@ def cylindrical_curvature_audit(
     if basis.m > 4:
         raise ValueError("curvature audits are limited to truncations m <= 4")
     dom = cylindrical_domain(spec, basis)
-    numer = spec.curvature_lower_bound_numerator()
+    numer = spec.threshold_slack()
     floor = spec.c * abs(basis.h1_integral())
     rng = np.random.default_rng(seed)
     h_gammas = np.empty(n_samples)

@@ -165,7 +165,7 @@ def test_criterion_4_gradient_contractivity(contract_setups):
         )
         fine = contractivity_sweep(
             setup["dom"], fine_grid, cfg["sigmas"], cfg["ps"], setup["bumps"],
-            solver_tol=1e-10, keep_solutions=False,
+            solver_tol=1e-10,
         )
         for rec in fine.records:
             ex0 = coarse_excess[(rec.bump, rec.sigma, rec.p)]
@@ -215,7 +215,7 @@ def test_criterion_6_sigma_zero_identity(contract_setups):
         cfg = setup["cfg"]
         zero = contractivity_sweep(
             setup["dom"], setup["grid"], [1e-4], cfg["ps"], setup["bumps"],
-            solver_tol=1e-10, keep_solutions=False,
+            solver_tol=1e-10,
         )
         for rec in zero.records:
             if rec.p <= 1.0:
@@ -323,7 +323,7 @@ def test_criterion_10_negative_control(tmp_path):
     dom = ball(2, 1.5)
     grid = GaussianGrid.build(dom, -1.9, 1.9, 0.05)
     bumps = [make_bump(dom, [0.0, 0.0], 0.6, 0.3, label="b0")]
-    result = contractivity_sweep(dom, grid, [1.0], [2.0], bumps, keep_solutions=False)
+    result = contractivity_sweep(dom, grid, [1.0], [2.0], bumps)
     assert result.records and all(np.isfinite(r.ratio) for r in result.records)
     verdict(10, True, "curvature suite exits 1 on ball R=1.5; its contract "
                       "records are informational only")

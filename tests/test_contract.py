@@ -241,6 +241,31 @@ class TestSweep:
         pairs = gradient_lp_ratio(sol.u, bump, ps)
         assert pairs == [gradient_lp_ratio(sol.u, bump, [p])[0] for p in ps]
 
+    def test_solutions_equal_separate_solves(self):
+        # one right-hand side per bump and one operator per sigma must give
+        # exactly what an independent solve of each (sigma, bump) gives
+        dom = halfspace(2, 1.0)
+        grid = GaussianGrid.build(dom, -8, 8, 0.2)
+        bumps = [
+            make_bump(dom, [-3.0, 0.0], 1.0, 0.4, label="b0"),
+            make_bump(dom, [-4.0, 0.5], 1.0, 0.4, label="b1"),
+        ]
+        sigmas = [0.1, 1.0]
+        result = contractivity_sweep(dom, grid, sigmas, [2.0], bumps)
+        assert sorted(result.solutions) == sorted(
+            (s, b.label) for s in sigmas for b in bumps
+        )
+        for sigma in sigmas:
+            for bump in bumps:
+                ref = solve_resolvent(
+                    ResolventJob(grid, sigma, ScalarField.from_callable(grid, bump)),
+                    tol=1e-10,
+                )
+                sol = result.solutions[(sigma, bump.label)]
+                assert np.array_equal(sol.u.values, ref.u.values)
+                assert sol.residual == ref.residual
+                assert sol.iterations == ref.iterations
+
     def test_records_sorted_deterministically(self):
         dom = halfspace(2, 1.0)
         grid = GaussianGrid.build(dom, -8, 8, 0.2)

@@ -10,7 +10,6 @@ from oucontract.gauss import (
     hermite_poly,
     lp_norm,
     sample_gaussian,
-    split_streams,
 )
 
 
@@ -117,14 +116,6 @@ def test_sampling_moments():
     pts = sample_gaussian(1, 100_000, seed=2024)
     assert abs(np.mean(pts)) < 5.0 / math.sqrt(100_000)
     assert 0.98 <= np.var(pts) <= 1.02
-
-
-def test_split_streams_are_distinct_and_reproducible():
-    a = [g.standard_normal(4) for g in split_streams(7, 3)]
-    b = [g.standard_normal(4) for g in split_streams(7, 3)]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    assert not np.array_equal(a[0], a[1])
 
 
 def test_measure_object():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from oucontract.domains import ball, halfspace
 from oucontract.gauss import hermite_poly
@@ -209,6 +210,28 @@ class TestSolve:
         sol = solve_resolvent(ResolventJob(halfline_grid, 10.0, rhs), tol=1e-12, max_iter=3)
         assert not sol.converged
         assert sol.u.values.shape == halfline_grid.shape
+
+    def test_dirichlet_2d_solve_matches_direct_solve(self):
+        # CG against an independent sparse direct solve of the same system.
+        # -L_h is positive semidefinite, so lambda_min(A) >= 1, and the
+        # Gershgorin bound on lambda_max bounds cond(A); the theta-weighted
+        # relative error is then at most cond(A) times the relative residual.
+        tol = 1e-10
+        dom = halfspace(2, 1.0)
+        grid = GaussianGrid.build(dom, -8, 8, 0.1)
+        rhs = ScalarField.from_callable(
+            grid, lambda p: np.exp(-np.sum((p - [-3.0, 0.5]) ** 2, axis=-1))
+        )
+        op = assemble_ou_operator(grid, 1.0)
+        sol = solve_resolvent(ResolventJob(grid, 1.0, rhs), tol=tol, operator=op)
+        b = rhs.flat()[op.interior_flat] * op.sqrt_w
+        x_direct = spsolve(op.matrix.tocsc(), b)
+        x_cg = sol.u.flat()[op.interior_flat] * op.sqrt_w
+        cond_bound = float(np.max(np.abs(op.matrix).sum(axis=1)))
+        err = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
+        assert sol.converged
+        assert sol.residual <= 10.0 * tol
+        assert err <= cond_bound * tol
 
     def test_four_dimensional_ball_solve(self):
         # the stated desk-scale ceiling: classification, assembly and CG
