@@ -7,12 +7,9 @@ truncations of Brownian motion and bridge."""
 __version__ = "0.1.0"
 
 from .gauss import (
-    GaussianMeasure,
     QuadratureRule,
-    density,
     gauss_hermite_rule,
     hermite_poly,
-    lp_norm,
     sample_gaussian,
 )
 from .domains import (
@@ -24,9 +21,7 @@ from .domains import (
     ellipsoid,
     epigraph,
     gaussian_curvature,
-    geometric_mean_curvature,
     halfspace,
-    load_domain,
     mean_curvature,
     polynomial_domain,
     project_to_boundary,
@@ -67,8 +62,6 @@ from .wiener import (
     epigraph_curvature_audit,
     epigraph_domain,
     gauss_ridge_epigraph,
-    load_epigraph_spec,
-    load_functional_spec,
     pathwise_level_value,
     rational_reference_spec,
     resolvent_convergence_study,

@@ -232,8 +232,7 @@ def _bumps_for(domain: LevelSetDomain, bump_specs) -> list[BumpFunction]:
     out = []
     for i, b in enumerate(bump_specs):
         out.append(
-            make_bump(domain, b["center"], b["radius"], b["margin"],
-                      amplitude=b.get("amplitude", 1.0), label=f"bump{i}")
+            make_bump(domain, b["center"], b["radius"], b["margin"], label=f"bump{i}")
         )
     return out
 

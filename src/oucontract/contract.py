@@ -42,6 +42,8 @@ from .solver import (
 
 _SUPPORT_FLOOR = 1e-3  # below this 1 - |x-c|^2/r^2 the bump underflows to 0
 _SURROGATE_DELTA = 1e-3  # smoothing of t^p, p < 2, in boundary_flux_integral
+_CONTAINMENT_DIRECTIONS = 128  # seeded random directions sampled by make_bump
+_CONTAINMENT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -97,20 +99,13 @@ class BumpFunction:
             np.linalg.norm(g)
         )
 
-    @property
-    def sup_norm(self) -> float:
-        return abs(self.amplitude)
-
 
 def make_bump(
     domain: LevelSetDomain,
     center,
     radius: float,
     margin: float,
-    amplitude: float = 1.0,
     label: str | None = None,
-    n_directions: int = 128,
-    seed: int = 7,
 ) -> BumpFunction:
     """Bump with verified support containment B(center, radius+margin) in O.
 
@@ -121,8 +116,8 @@ def make_bump(
     d = center.size
     if not domain.contains(center):
         raise ValueError("support not compactly inside O")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, d))
+    rng = np.random.default_rng(_CONTAINMENT_SEED)
+    dirs = rng.standard_normal((_CONTAINMENT_DIRECTIONS, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.vstack([np.eye(d), -np.eye(d)])
     dirs = np.vstack([dirs, axes])
@@ -130,7 +125,7 @@ def make_bump(
     if np.any(np.asarray(domain.value(pts)) >= 0.0):
         raise ValueError("support not compactly inside O")
     name = label if label is not None else f"bump(c={list(np.round(center, 3))},r={radius})"
-    return BumpFunction(center, radius, amplitude, name)
+    return BumpFunction(center, radius, label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +359,6 @@ class ContractRecord:
 class SweepResult:
     records: list[ContractRecord]
     solutions: dict = field(default_factory=dict)  # (sigma, bump label) -> ResolventSolution
-
-    def converged_records(self) -> list[ContractRecord]:
-        return [r for r in self.records if r.converged]
 
 
 def default_contract_tol(h: float) -> float:

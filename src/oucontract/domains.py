@@ -11,8 +11,8 @@ this package are
     Gaussian version  Hgamma(x) = H(x) - <x, nu(x)>
 
 H is the unnormalized sum of principal curvatures of the level set
-(the geometric mean curvature is H / (d-1), exposed separately).  In
-d = 1 the two terms of H cancel identically, so Hgamma(x) = -x * nu.
+(the geometric mean curvature is H / (d-1)).  In d = 1 the two terms of
+H cancel identically, so Hgamma(x) = -x * nu.
 Nonnegativity of Hgamma over the boundary is the standing hypothesis for
 the gradient-contractivity checks in :mod:`oucontract.contract`.
 
@@ -23,7 +23,6 @@ of the input; the scans here only verify nondegeneracy of the gradient
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +32,7 @@ import numpy as np
 _EPS = np.finfo(float).eps
 _FD_GRAD_STEP = math.sqrt(_EPS)
 _FD_HESS_STEP = _EPS ** (1.0 / 3.0)
+_BISECTION_STEPS = 100
 
 
 class DegenerateLevelSetError(ValueError):
@@ -148,13 +148,6 @@ def mean_curvature(dom: LevelSetDomain, x) -> float:
     return lap / norm - quad / norm**3
 
 
-def geometric_mean_curvature(dom: LevelSetDomain, x) -> float:
-    """The normalized version H/(d-1); undefined in d = 1."""
-    if dom.dim < 2:
-        raise ValueError("geometric normalization needs dim >= 2")
-    return mean_curvature(dom, x) / (dom.dim - 1)
-
-
 def gaussian_curvature(dom: LevelSetDomain, x) -> float:
     """Hgamma = H - <x, nu> at a boundary point."""
     x = np.asarray(x, dtype=float)
@@ -166,7 +159,6 @@ def project_to_boundary(
     dom: LevelSetDomain,
     x0,
     tol_bd: float | None = None,
-    max_iter: int = 100,
 ) -> BoundaryPoint:
     """Move x0 along the gradient ray until |G| <= tol_bd.
 
@@ -208,7 +200,7 @@ def project_to_boundary(
     if t_hi is None:
         raise ProjectionError("no boundary along search direction")
 
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_STEPS):
         t_mid = 0.5 * (t_lo + t_hi)
         g_mid = line(t_mid)
         if abs(g_mid) <= tol_bd:
@@ -468,8 +460,3 @@ def domain_from_spec(spec: dict) -> LevelSetDomain:
         terms = [(t["coeff"], t["powers"]) for t in params["terms"]]
         return polynomial_domain(dim, terms)
     raise ValueError(f"unknown domain type {kind!r}")
-
-
-def load_domain(path) -> LevelSetDomain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return domain_from_spec(json.load(fh))

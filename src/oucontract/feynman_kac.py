@@ -13,9 +13,10 @@ space).  Paths are advanced by Euler-Maruyama,
 killed at the first grid time where G(X_k) >= 0, with no crossing
 correction.  The time integral is a trapezoid rule in the discounted
 integrand (half weight at k = 0), whose quadrature error is O(dt^2).
-Paths are truncated at t_max with exp(-t_max/sigma) <= 1e-6 by
-construction.  ``bias_budget`` declares sup|f| * (cap + dt) only: the
-O(sqrt(dt)) exit bias of grid-time killing is not inside it.
+Paths are truncated at t_max = sigma * log(1e6), so the discarded tail
+weight exp(-t_max/sigma) is 1e-6.  ``bias_budget`` declares
+sup|f| * (cap + dt) only: the O(sqrt(dt)) exit bias of grid-time killing
+is not inside it.
 
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
@@ -24,13 +25,11 @@ solver: the two never share code beyond the domain's level function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import LevelSetDomain
-
-_CAP_BIAS_LIMIT = 1e-6
 
 
 @dataclass
@@ -40,7 +39,6 @@ class KilledPathEstimator:
     dt: float = 1e-3
     n_paths: int = 100_000
     seed: int = 0
-    t_max: float | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -49,12 +47,11 @@ class KilledPathEstimator:
             raise ValueError("dt must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.t_max is None:
-            self.t_max = self.sigma * math.log(1e6)
-        if math.exp(-self.t_max / self.sigma) > _CAP_BIAS_LIMIT * (1 + 1e-12):
-            raise ValueError(
-                "t_max too small: exp(-t_max/sigma) exceeds the 1e-6 bias budget"
-            )
+
+    @property
+    def t_max(self) -> float:
+        """Path cap with exp(-t_max/sigma) = 1e-6."""
+        return self.sigma * math.log(1e6)
 
     @property
     def n_steps(self) -> int:
@@ -80,17 +77,6 @@ class McEstimate:
     sigma: float
     seed: int
     n_steps_used: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def record(self) -> dict:
-        return {
-            "x": [float(v) for v in np.atleast_1d(self.x)],
-            "estimate": self.value,
-            "se": self.stderr,
-            "N": self.n_paths,
-            "dt": self.dt,
-            "seed": self.seed,
-        }
 
 
 def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:

@@ -6,10 +6,10 @@ measure with density
     theta_d(x) = (2*pi)**(-d/2) * exp(-|x|^2 / 2),
 
 and every integral, norm and quadrature rule is taken with respect to it.
-Two kinds of rules are provided: tensor Gauss-Hermite rules for integrals
-over the whole space, and cell-sum rules bound to a grid for integrals
-restricted to a sub-region (the indicator of a region breaks polynomial
-exactness, so cell sums are the honest estimator there).
+The tensor Gauss-Hermite rules here integrate over the whole space;
+integrals restricted to a sub-region are cell sums of the grid's node
+weights (see :mod:`oucontract.grid`), because the indicator of a region
+breaks polynomial exactness.
 """
 
 from __future__ import annotations
@@ -22,30 +22,6 @@ import numpy as np
 HERMITE_DEGREE_MAX = 12
 
 
-def density(x, dim: int | None = None) -> np.ndarray | float:
-    """Standard Gaussian density theta_d evaluated at x.
-
-    x may be a single point of shape (d,) or a batch of shape (n, d).
-    For scalar input dim=1 is assumed.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        squeeze = "scalar"
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-        squeeze = "point"
-    else:
-        squeeze = "none"
-    d = arr.shape[-1] if dim is None else dim
-    val = (2.0 * math.pi) ** (-0.5 * d) * np.exp(-0.5 * np.sum(arr * arr, axis=-1))
-    if squeeze == "scalar":
-        return float(val[0])
-    if squeeze == "point":
-        return float(val[0])
-    return val
-
-
 def density_1d(x) -> np.ndarray:
     """theta_1 on an array of scalars."""
     x = np.asarray(x, dtype=float)
@@ -53,41 +29,14 @@ def density_1d(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaussianMeasure:
-    """The standard Gaussian measure on R^dim."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-
-    def density(self, x):
-        return density(x, self.dim)
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        return sample_gaussian(self.dim, count, seed)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and nonnegative weights approximating integration against gamma.
 
-    ``weights`` sum to the Gaussian mass of the covered region, 1 for a
-    whole-space Gauss-Hermite rule.
+    ``weights`` sum to 1, the Gaussian mass of the whole space.
     """
 
     nodes: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,)
-    kind: str = "gauss-hermite"
-
-    @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def gauss_hermite_rule(dim: int, n_nodes: int) -> QuadratureRule:
@@ -111,25 +60,6 @@ def gauss_hermite_rule(dim: int, n_nodes: int) -> QuadratureRule:
     for g in wgrids:
         weights = weights * g.reshape(-1)
     return QuadratureRule(nodes, weights)
-
-
-def lp_norm(f, p: float, rule: QuadratureRule) -> float:
-    """(integral of |f|^p against the rule)^(1/p).
-
-    f is either a callable evaluated on the rule's nodes (batched, shape
-    (n, d) -> (n,)) or an array of nodal values aligned with the rule.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if rule.weights.size == 0 or rule.total_mass <= 0.0:
-        raise ValueError("region has no quadrature mass")
-    if callable(f):
-        vals = np.asarray(f(rule.nodes), dtype=float)
-    else:
-        vals = np.asarray(f, dtype=float)
-        if vals.shape[0] != rule.nodes.shape[0]:
-            raise ValueError("nodal values do not match the quadrature rule")
-    return float(np.sum(rule.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 
 def hermite_poly(k: int, x):

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .gauss import QuadratureRule, density_1d
+from .gauss import density_1d
 from .domains import LevelSetDomain
 
 _CLASSIFY_CHUNK = 65536
@@ -112,11 +111,6 @@ class GaussianGrid:
     def full_stencil(self) -> np.ndarray:
         return self.eroded_interior(1)
 
-    @property
-    def cut_adjacent(self) -> np.ndarray:
-        """Interior nodes with at least one non-interior axis neighbor."""
-        return self.interior & ~self.full_stencil
-
     # -- geometry ------------------------------------------------------
 
     def node_coordinates(self) -> np.ndarray:
@@ -135,21 +129,6 @@ class GaussianGrid:
             view[a] = slice(None)
             w = w * self.axis_density(a)[tuple(view)]
         return w * cell
-
-    def gaussian_mass_outside_box(self) -> float:
-        """Upper bound on gamma^d mass not covered by the box."""
-        inside = 1.0
-        for a in range(self.dim):
-            inside *= float(ndtr(self.hi[a]) - ndtr(self.lo[a]))
-        return 1.0 - inside
-
-    def cell_rule(self, mask: np.ndarray | None = None) -> QuadratureRule:
-        """Cell-sum quadrature rule over a node mask (default: interior)."""
-        m = self.interior if mask is None else mask
-        flat = m.reshape(-1)
-        coords = self.node_coordinates()[flat]
-        weights = self.node_weights().reshape(-1)[flat]
-        return QuadratureRule(coords, weights, kind="grid-cell")
 
     def interpolator(self, values: np.ndarray):
         """Multilinear interpolant of nodal values, 0 outside the box."""

@@ -175,16 +175,20 @@ class ResolventSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _iteration_budget(n_unknowns: int) -> int:
+    """CG iteration cap: 50 sqrt(n_unknowns), at least 200."""
+    return max(200, int(50 * math.sqrt(max(n_unknowns, 1))))
+
+
 def solve_resolvent(
     job: ResolventJob,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     operator: OuOperator | None = None,
 ) -> ResolventSolution:
     """Solve (I - sigma*L_h) u = rhs with CG, u = 0 on exterior nodes.
 
-    When the iteration budget runs out the best iterate is returned with
-    converged=False rather than raising.
+    When the iteration budget (``_iteration_budget``) runs out the best
+    iterate is returned with converged=False rather than raising.
     """
     op = operator if operator is not None else assemble_ou_operator(job.grid, job.sigma)
     if op.sigma != job.sigma:
@@ -192,8 +196,6 @@ def solve_resolvent(
     grid = job.grid
     b = job.rhs.flat()[op.interior_flat] * op.sqrt_w
     bnorm = float(np.linalg.norm(b))
-    if max_iter is None:
-        max_iter = max(200, int(50 * math.sqrt(max(op.n_unknowns, 1))))
 
     if bnorm == 0.0:
         u = ScalarField.zeros(grid)
@@ -206,7 +208,8 @@ def solve_resolvent(
         nonlocal iters
         iters += 1
 
-    x, info = cg(op.matrix, b, rtol=tol, atol=0.0, maxiter=max_iter, callback=_count)
+    x, info = cg(op.matrix, b, rtol=tol, atol=0.0, maxiter=_iteration_budget(op.n_unknowns),
+                 callback=_count)
     res = float(np.linalg.norm(op.matrix @ x - b) / bnorm)
     vals = np.zeros(grid.n_nodes)
     vals[op.interior_flat] = x / op.sqrt_w

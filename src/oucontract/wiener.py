@@ -29,7 +29,6 @@ grid, never inferred.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -48,11 +47,14 @@ _TRACE_INTEGRAL = {BM: 0.5, BRIDGE: 1.0 / 6.0}
 # rows of xi per block of G: the (rows, s-nodes) path temporaries stay
 # within a few hundred kB, so each block is evaluated in cache
 _EVAL_CHUNK = 256
+_GL_NODES_PER_PANEL = 8
+# validation grid for declared profile constants: xi in [-20, 20], step 1e-2
+_VALIDATION_LO, _VALIDATION_HI, _VALIDATION_STEP = -20.0, 20.0, 1e-2
 
 
-def composite_gauss_legendre(n_panels: int, nodes_per_panel: int = 8):
-    """Composite Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+def composite_gauss_legendre(n_panels: int):
+    """Composite Gauss-Legendre rule on [0, 1], _GL_NODES_PER_PANEL nodes per panel."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
     width = 1.0 / n_panels
     nodes = []
     weights = []
@@ -90,15 +92,14 @@ class KLBasis:
     hp_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i'
 
     @classmethod
-    def build(cls, kind: str, m: int, n_panels: int | None = None,
-              nodes_per_panel: int = 8) -> "KLBasis":
+    def build(cls, kind: str, m: int, n_panels: int | None = None) -> "KLBasis":
         if kind not in (BM, BRIDGE):
             raise ValueError(f"unknown basis kind {kind!r}")
         if m < 1:
             raise ValueError("truncation must be >= 1")
         if n_panels is None:
             n_panels = max(16, m)
-        s, w = composite_gauss_legendre(n_panels, nodes_per_panel)
+        s, w = composite_gauss_legendre(n_panels)
         freq = _kl_frequencies(kind, m)
         lambdas = 1.0 / freq**2
         h = np.sqrt(2.0 * lambdas)[:, None] * np.sin(freq[:, None] * s[None, :])
@@ -170,23 +171,15 @@ class ValidationReport:
     worst_slack: dict
     witness: dict
 
-    def __bool__(self):
-        return self.ok
 
-
-def validate_functional(
-    spec: FunctionalSpec,
-    grid_lo: float = -20.0,
-    grid_hi: float = 20.0,
-    grid_step: float = 1e-2,
-) -> ValidationReport:
+def validate_functional(spec: FunctionalSpec) -> ValidationReport:
     """Scan the declared inequalities for g on a validation grid.
 
     Checks, each with its witnessing point on failure:
       |g'| >= c, the two-sided envelope on xi*g', |g''| <= gpp_sup,
       r in the (grid) range of g, and the admissibility threshold.
     """
-    xi = np.arange(grid_lo, grid_hi + 0.5 * grid_step, grid_step)
+    xi = np.arange(_VALIDATION_LO, _VALIDATION_HI + 0.5 * _VALIDATION_STEP, _VALIDATION_STEP)
     gv = np.asarray(spec.g(xi), dtype=float)
     gp = np.asarray(spec.gp(xi), dtype=float)
     gpp = np.asarray(spec.gpp(xi), dtype=float)
@@ -296,11 +289,6 @@ def functional_spec_from_dict(d: dict) -> FunctionalSpec:
     )
 
 
-def load_functional_spec(path) -> FunctionalSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return functional_spec_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # induced level-set domains on R^m
 
@@ -352,6 +340,18 @@ def pathwise_level_value(spec: FunctionalSpec, basis: KLBasis, coeffs) -> float:
     return float(np.atleast_1d(vals)[0]) - spec.r
 
 
+def _boundary_samples(dom: LevelSetDomain, n_samples: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Hgamma and grad G at the boundary projections of n_samples draws of rng."""
+    h_gammas = np.empty(n_samples)
+    grads = np.empty((n_samples, dom.dim))
+    for i in range(n_samples):
+        bp = project_to_boundary(dom, rng.standard_normal(dom.dim))
+        h_gammas[i] = gaussian_curvature(dom, bp.x)
+        grads[i] = dom.gradient(bp.x)
+    return h_gammas, grads
+
+
 @dataclass
 class CurvatureAudit:
     min_h_gamma: float
@@ -392,21 +392,12 @@ def cylindrical_curvature_audit(
     dom = cylindrical_domain(spec, basis)
     numer = spec.threshold_slack()
     floor = spec.c * abs(basis.h1_integral())
-    rng = np.random.default_rng(seed)
-    h_gammas = np.empty(n_samples)
-    slacks = np.empty(n_samples)
-    first = np.empty(n_samples)
-    for i in range(n_samples):
-        bp = project_to_boundary(dom, rng.standard_normal(basis.m))
-        hg = gaussian_curvature(dom, bp.x)
-        gnorm = float(np.linalg.norm(dom.gradient(bp.x)))
-        h_gammas[i] = hg
-        slacks[i] = hg - numer / gnorm
-        first[i] = abs(float(dom.gradient(bp.x)[0]))
+    h_gammas, grads = _boundary_samples(dom, n_samples, np.random.default_rng(seed))
+    slacks = h_gammas - numer / np.linalg.norm(grads, axis=1)
     return CurvatureAudit(
         min_h_gamma=float(np.min(h_gammas)),
         min_bound_slack=float(np.min(slacks)),
-        first_coord_min=float(np.min(first)),
+        first_coord_min=float(np.min(np.abs(grads[:, 0]))),
         first_coord_floor=floor - tol,
         n_samples=n_samples,
         tol=tol,
@@ -496,11 +487,6 @@ def epigraph_spec_from_dict(d: dict) -> EpigraphSpec:
     raise ValueError(f"unsupported epigraph kind {kind!r}")
 
 
-def load_epigraph_spec(path) -> EpigraphSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return epigraph_spec_from_dict(json.load(fh))
-
-
 def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:
     from .domains import epigraph as _epigraph
 
@@ -560,15 +546,8 @@ def epigraph_curvature_audit(
         return EpigraphAudit(False, failures, math.nan, math.nan, 0, tol)
 
     dom = epigraph_domain(spec, m)
-    margin = spec.margin()
-    h_gammas = np.empty(n_samples)
-    slacks = np.empty(n_samples)
-    for i in range(n_samples):
-        bp = project_to_boundary(dom, rng.standard_normal(m))
-        hg = gaussian_curvature(dom, bp.x)
-        gnorm = float(np.linalg.norm(dom.gradient(bp.x)))
-        h_gammas[i] = hg
-        slacks[i] = hg - margin / gnorm
+    h_gammas, grads = _boundary_samples(dom, n_samples, rng)
+    slacks = h_gammas - spec.margin() / np.linalg.norm(grads, axis=1)
     return EpigraphAudit(True, [], float(np.min(h_gammas)), float(np.min(slacks)),
                          n_samples, tol)
 

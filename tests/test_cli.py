@@ -190,11 +190,27 @@ class TestPlotdataShapes:
         assert content[0].startswith("#")
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+NEGATIVE_CONTROL = "curvature_negative_control.json"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
     def test_config_file_matches_defaults(self, suite):
-        path = Path(__file__).resolve().parents[1] / "configs" / f"{suite}.json"
+        path = CONFIG_DIR / f"{suite}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]
+
+    def test_negative_control_config_exits_1(self, tmp_path, capsys):
+        # the README's negative-control command: ball R = 1.5 in d = 2
+        code = main(["curvature", "--config", str(CONFIG_DIR / NEGATIVE_CONTROL),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "curvature-nonnegative" in capsys.readouterr().err
+
+    def test_every_config_file_is_covered(self):
+        covered = {f"{suite}.json" for suite in DEFAULT_CONFIGS} | {NEGATIVE_CONTROL}
+        shipped = {p.name for p in CONFIG_DIR.rglob("*") if p.is_file()}
+        assert shipped == covered
 
 
 class TestConvergeSuite:

@@ -11,7 +11,6 @@ from oucontract.domains import (
     ellipsoid,
     epigraph,
     gaussian_curvature,
-    geometric_mean_curvature,
     halfspace,
     mean_curvature,
     polynomial_domain,
@@ -45,11 +44,6 @@ class TestMeanCurvature:
         )
         bp = boundary_of(dom, [3.0, 0.4])
         assert mean_curvature(dom, bp.x) == pytest.approx(1.0, abs=1e-5)
-
-    def test_geometric_normalization(self):
-        dom = ball(3, 2.0)
-        bp = boundary_of(dom, [3.0, 0.0, 0.0])
-        assert geometric_mean_curvature(dom, bp.x) == pytest.approx(0.5, abs=1e-8)
 
     def test_degenerate_gradient_rejected(self):
         dom = ball(2, 1.0)

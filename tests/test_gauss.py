@@ -3,40 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oucontract.gauss import (
-    GaussianMeasure,
-    density,
-    gauss_hermite_rule,
-    hermite_poly,
-    lp_norm,
-    sample_gaussian,
-)
-
-
-def test_density_at_origin_1d():
-    assert density(np.array([0.0])) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
-
-
-def test_density_at_origin_2d():
-    assert density(np.array([0.0, 0.0])) == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
-
-
-def test_density_away_from_origin_2d():
-    # (2 pi)^-1 e^-1, evaluated independently at high precision
-    assert density(np.array([1.0, 1.0])) == pytest.approx(0.05854983152431917, abs=1e-15)
-
-
-def test_density_batch_shape():
-    pts = np.zeros((5, 3))
-    vals = density(pts)
-    assert vals.shape == (5,)
-    assert np.allclose(vals, (2 * math.pi) ** -1.5)
+from oucontract.gauss import gauss_hermite_rule, hermite_poly, sample_gaussian
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gauss_hermite_weights_sum_to_one(d):
     rule = gauss_hermite_rule(d, 40)
-    assert abs(rule.total_mass - 1.0) < 1e-10
+    assert abs(float(np.sum(rule.weights)) - 1.0) < 1e-10
 
 
 def test_gaussian_even_moments():
@@ -45,32 +18,6 @@ def test_gaussian_even_moments():
         moment = float(np.sum(rule.weights * rule.nodes[:, 0] ** (2 * k)))
         double_fact = float(np.prod(np.arange(2 * k - 1, 0, -2)))
         assert moment == pytest.approx(double_fact, rel=1e-8)
-
-
-def test_lp_norm_of_one():
-    rule = gauss_hermite_rule(1, 40)
-    assert lp_norm(lambda p: np.ones(p.shape[0]), 3.0, rule) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lp_norm_second_moment():
-    rule = gauss_hermite_rule(1, 40)
-    assert lp_norm(lambda p: p[:, 0], 2.0, rule) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_lp_norm_fourth_moment():
-    # ||x^2||_2 = (E x^4)^(1/2) = sqrt(3), oracle: high-node-count quadrature
-    hi = gauss_hermite_rule(1, 120)
-    oracle = float(np.sum(hi.weights * hi.nodes[:, 0] ** 4) ** 0.5)
-    assert oracle == pytest.approx(math.sqrt(3.0), abs=1e-10)
-    rule = gauss_hermite_rule(1, 40)
-    assert lp_norm(lambda p: p[:, 0] ** 2, 2.0, rule) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_lp_norm_empty_region_raises():
-    rule = gauss_hermite_rule(1, 20)
-    empty = type(rule)(rule.nodes[:0], rule.weights[:0])
-    with pytest.raises(ValueError, match="no quadrature mass"):
-        lp_norm(lambda p: np.ones(p.shape[0]), 2.0, empty)
 
 
 def test_hermite_base_cases():
@@ -117,9 +64,3 @@ def test_sampling_moments():
     assert abs(np.mean(pts)) < 5.0 / math.sqrt(100_000)
     assert 0.98 <= np.var(pts) <= 1.02
 
-
-def test_measure_object():
-    gm = GaussianMeasure(2)
-    assert gm.density(np.zeros(2)) == pytest.approx(1.0 / (2 * math.pi))
-    with pytest.raises(ValueError):
-        GaussianMeasure(0)

@@ -120,6 +120,20 @@ class TestFunctionalValidation:
         assert "envelope_upper" in report.failures
         assert "envelope_upper" in report.witness
 
+    def test_rational_spec_from_dict(self):
+        # the dict form of the shipped rational profile builds the same g
+        fspec = functional_spec_from_dict({
+            "g": {"type": "rational", "num": [0.0, -0.5, 0.0, -1.0],
+                  "den": [1.0, 0.0, 1.0]},
+            "c": 0.5, "alpha1": 1.0, "alpha2": 1.0,
+            "beta1": -0.33, "beta2": 0.33, "r": -0.75, "gpp_sup": 0.75,
+            "kind": "brownian_motion", "name": "dict-spec",
+        })
+        assert validate_functional(fspec).ok
+        ref = rational_reference_spec()
+        xi = np.linspace(-3, 3, 11)
+        assert np.allclose(fspec.g(xi), ref.g(xi))
+
     def test_reference_specs_accepted(self):
         assert validate_functional(rational_reference_spec(kind=BM)).ok
         assert validate_functional(rational_reference_spec(kind=BRIDGE)).ok
@@ -220,32 +234,6 @@ class TestCurvatureAudits:
     def test_epigraph_margin_guard(self):
         with pytest.raises(ValueError, match="constants violate"):
             gauss_ridge_epigraph(0.5, 1.0, [1.0])
-
-    def test_epigraph_spec_files(self, tmp_path):
-        import json
-
-        from oucontract.wiener import load_epigraph_spec, load_functional_spec
-
-        e_path = tmp_path / "epi.json"
-        e_path.write_text(json.dumps(
-            {"kind": "gauss_ridge", "c0": 2.0, "amp": 0.5, "weights": [1.0, 0.0]}
-        ))
-        spec = load_epigraph_spec(e_path)
-        assert spec.C == 2.0 and spec.C1 == 0.5
-
-        f_path = tmp_path / "fun.json"
-        f_path.write_text(json.dumps({
-            "g": {"type": "rational", "num": [0.0, -0.5, 0.0, -1.0],
-                  "den": [1.0, 0.0, 1.0]},
-            "c": 0.5, "alpha1": 1.0, "alpha2": 1.0,
-            "beta1": -0.33, "beta2": 0.33, "r": -0.75, "gpp_sup": 0.75,
-            "kind": "brownian_motion", "name": "file-spec",
-        }))
-        fspec = load_functional_spec(f_path)
-        assert validate_functional(fspec).ok
-        ref = rational_reference_spec()
-        xi = np.linspace(-3, 3, 11)
-        assert np.allclose(fspec.g(xi), ref.g(xi))
 
     def test_epigraph_false_constants_rejected(self):
         spec = gauss_ridge_epigraph(2.0, 0.5, [1.0, 0.0])
