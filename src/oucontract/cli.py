@@ -1,10 +1,12 @@
 """Command-line entry point for the verification suites.
 
 Subcommands: curvature, solve, contract, lemma, oracle, wiener, converge,
-all.  Every numeric default lives here and is echoed into the report so a
-run is reproducible from its own output.  Exit codes: 0 all asserted
-checks pass, 1 at least one asserted check failed, 2 configuration could
-not be loaded.
+all.  A run is fixed by its suite, its config (``--config`` overrides the
+defaults here key by key) and ``--seed``; ``--out`` only says where it is
+written.  Every suite takes (config, seed) and reports each bound exactly
+as its config states it, so a run is reproducible from its own report.
+Exit codes: 0 all asserted checks pass, 1 at least one asserted check
+failed, 2 configuration could not be loaded.
 """
 
 from __future__ import annotations
@@ -221,13 +223,6 @@ def build_domain(spec: dict) -> LevelSetDomain:
     return domain_from_spec(spec)
 
 
-def _grid_for(domain: LevelSetDomain | None, gspec: dict,
-              h_override: float | None) -> GaussianGrid:
-    h = h_override if h_override is not None else gspec["h"]
-    dim = gspec.get("dim")
-    return GaussianGrid.build(domain, gspec["lo"], gspec["hi"], h, dim=dim)
-
-
 def _bumps_for(domain: LevelSetDomain, bump_specs) -> list[BumpFunction]:
     out = []
     for i, b in enumerate(bump_specs):
@@ -241,20 +236,19 @@ def _bumps_for(domain: LevelSetDomain, bump_specs) -> list[BumpFunction]:
 # suites
 
 
-def suite_curvature(cfg, seed, tol_scale, do_assert) -> SuiteReport:
+def suite_curvature(cfg, seed) -> SuiteReport:
     rep = SuiteReport("curvature", seed, cfg)
-    tol = cfg["tol"] * tol_scale
+    tol = cfg["tol"]
     hist_rows = []
     for k, dspec in enumerate(cfg["domains"]):
         dom = build_domain(dspec)
         scan = curvature_sign_scan(dom, cfg["n_samples"], seed + k, tol=tol)
-        asserted = bool(dspec.get("assert_nonnegative", False)) and do_assert
         rep.add(CheckRecord(
             name=f"curvature-nonnegative:{dom.name}",
             observed=scan.min_value,
             bound=-tol,
             passed=scan.nonnegative,
-            asserted=asserted,
+            asserted=bool(dspec.get("assert_nonnegative", False)),
             inputs={"domain": dspec, "n_samples": cfg["n_samples"], "seed": seed + k},
         ))
         hist_rows.extend([[dom.name, float(v)] for v in scan.values])
@@ -265,7 +259,7 @@ def suite_curvature(cfg, seed, tol_scale, do_assert) -> SuiteReport:
     return rep
 
 
-def suite_solve(cfg, seed, tol_scale, do_assert, out_dir: Path | None = None) -> SuiteReport:
+def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
     rep = SuiteReport("solve", seed, cfg)
     g = cfg["grid"]
     grid = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g.get("dim", 1))
@@ -277,16 +271,16 @@ def suite_solve(cfg, seed, tol_scale, do_assert, out_dir: Path | None = None) ->
     window = np.abs(coords) <= cfg["oracle_window"]
     exact = hermite_poly(k, coords) / (1.0 + sigma * k)
     err = float(np.max(np.abs(sol.u.flat()[window] - exact[window])))
-    tol = cfg["oracle_tol"] * tol_scale
+    tol = cfg["oracle_tol"]
     rep.add(CheckRecord(
         name=f"hermite-eigen-oracle:k={k},sigma={sigma}",
-        observed=err, bound=tol, passed=err <= tol, asserted=do_assert,
+        observed=err, bound=tol, passed=err <= tol,
         inputs={"grid": g, "sigma": sigma, "k": k},
     ))
     rep.add(CheckRecord(
         name="resolvent-residual",
         observed=sol.residual, bound=cfg["solver_tol"] * 10,
-        passed=sol.converged, asserted=do_assert,
+        passed=sol.converged,
         inputs={"grid": g, "sigma": sigma},
     ))
     if out_dir is not None:
@@ -295,23 +289,25 @@ def suite_solve(cfg, seed, tol_scale, do_assert, out_dir: Path | None = None) ->
     return rep
 
 
-def _run_sweep(sweep_cfg, h_override, solver_tol):
+def _run_sweep(sweep_cfg, h, solver_tol):
     dom = build_domain(sweep_cfg["domain"])
-    grid = _grid_for(dom, sweep_cfg["grid"], h_override)
+    g = sweep_cfg["grid"]
+    grid = GaussianGrid.build(dom, g["lo"], g["hi"], h, dim=g.get("dim"))
     bumps = _bumps_for(dom, sweep_cfg["bumps"])
     result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], sweep_cfg["ps"],
                                  bumps, solver_tol=solver_tol)
     return dom, grid, bumps, result
 
 
-def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
+def suite_contract(cfg, seed) -> SuiteReport:
     rep = SuiteReport("contract", seed, cfg)
     rows = []
     for sweep_cfg in cfg["sweeps"]:
-        dom, grid, bumps, result = _run_sweep(sweep_cfg, grid_h, cfg["solver_tol"])
+        h_cfg = sweep_cfg["grid"]["h"]
+        dom, grid, bumps, result = _run_sweep(sweep_cfg, h_cfg, cfg["solver_tol"])
         h = float(np.max(grid.h))
-        tol = default_contract_tol(h) * tol_scale
-        asserted = bool(sweep_cfg.get("assert_contractive", False)) and do_assert
+        tol = default_contract_tol(h)
+        asserted = bool(sweep_cfg.get("assert_contractive", False))
         excesses = {}
         for r in result.records:
             rows.append(list(astuple(r)))
@@ -327,8 +323,7 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
             excesses[(r.bump, r.sigma, r.p)] = r.ratio - 1.0
 
         if cfg.get("richardson", False):
-            _, _, _, halved = _run_sweep(sweep_cfg, (grid_h or sweep_cfg["grid"]["h"]) / 2.0,
-                                         cfg["solver_tol"])
+            _, _, _, halved = _run_sweep(sweep_cfg, h_cfg / 2.0, cfg["solver_tol"])
             for r in halved.records:
                 rows.append(list(astuple(r)))
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p), 0.0)
@@ -368,17 +363,17 @@ def suite_contract(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
     return rep
 
 
-def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
+def suite_lemma(cfg, seed) -> SuiteReport:
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
     for sweep_cfg in cfg["sweeps"]:
         # the (sigma, bump) solutions alone: no p, so no ratio records
-        dom, grid, bumps, result = _run_sweep({**sweep_cfg, "ps": []}, grid_h,
-                                              cfg["solver_tol"])
+        dom, grid, bumps, result = _run_sweep({**sweep_cfg, "ps": []},
+                                              sweep_cfg["grid"]["h"], cfg["solver_tol"])
         h = float(np.max(grid.h))
-        p_tol = cfg["pointwise_tol_h"] * h * tol_scale
-        s_tol = cfg["slope_tol_h"] * h * tol_scale
-        f_tol = cfg["flux_tol_h"] * h * tol_scale
+        p_tol = cfg["pointwise_tol_h"] * h
+        s_tol = cfg["slope_tol_h"] * h
+        f_tol = cfg["flux_tol_h"] * h
         probes = boundary_probes(grid, dom, cfg["n_boundary_samples"], seed)
         for sigma in sweep_cfg["sigmas"]:
             for bump in bumps:
@@ -388,7 +383,7 @@ def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                 rep.add(CheckRecord(
                     name=f"pointwise-gradient-bound:{key}",
                     observed=pw.worst_excess, bound=0.0,
-                    passed=pw.ok, asserted=do_assert,
+                    passed=pw.ok,
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": p_tol},
                 ))
@@ -396,7 +391,7 @@ def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                 rep.add(CheckRecord(
                     name=f"boundary-normal-slope:{key}",
                     observed=slope.max_slope, bound=s_tol,
-                    passed=slope.ok, asserted=do_assert,
+                    passed=slope.ok,
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": s_tol},
                 ))
@@ -405,20 +400,21 @@ def suite_lemma(cfg, seed, tol_scale, do_assert, grid_h=None) -> SuiteReport:
                     rep.add(CheckRecord(
                         name=f"boundary-flux-integral:{key}:p={p}",
                         observed=val, bound=f_tol,
-                        passed=val <= f_tol, asserted=do_assert and p > 1.0,
+                        passed=val <= f_tol, asserted=p > 1.0,
                         inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                                 "bump": bump.label, "eps": eps, "p": p},
                     ))
     return rep
 
 
-def suite_oracle(cfg, seed, tol_scale, do_assert) -> SuiteReport:
+def suite_oracle(cfg, seed) -> SuiteReport:
     rep = SuiteReport("oracle", seed, cfg)
     sigma = cfg["sigma"]
     rows = []
     for case in cfg["cases"]:
         dom = build_domain(case["domain"])
-        grid = _grid_for(dom, case["grid"], None)
+        g = case["grid"]
+        grid = GaussianGrid.build(dom, g["lo"], g["hi"], g["h"], dim=g.get("dim"))
         b = case["bump"]
         bump = make_bump(dom, b["center"], b["radius"], b["margin"])
         rhs = ScalarField.from_callable(grid, bump)
@@ -430,12 +426,11 @@ def suite_oracle(cfg, seed, tol_scale, do_assert) -> SuiteReport:
             mc = mc_resolvent(est, bump, np.asarray(probe, dtype=float))
             fd = float(interp(np.asarray(probe, dtype=float)[None, :])[0])
             diff = abs(fd - mc.value)
-            bound = 3.0 * mc.stderr * tol_scale
+            bound = 3.0 * mc.stderr
             rows.append([case["name"], json.dumps(probe), fd, mc.value, mc.stderr])
             rep.add(CheckRecord(
                 name=f"cross-oracle:{case['name']}:probe={j}",
                 observed=diff, bound=bound, passed=diff <= bound,
-                asserted=do_assert,
                 inputs={"case": case["name"], "probe": probe,
                         "n_paths": cfg["n_paths"], "dt": cfg["dt"], "sigma": sigma},
             ))
@@ -446,44 +441,39 @@ def suite_oracle(cfg, seed, tol_scale, do_assert) -> SuiteReport:
     return rep
 
 
-def suite_wiener(cfg, seed, tol_scale, do_assert) -> SuiteReport:
+def suite_wiener(cfg, seed) -> SuiteReport:
     rep = SuiteReport("wiener", seed, cfg)
 
     m = cfg["basel_m"]
     basel_err = abs(basel_partial_sum(m) - math.pi**2 / 2.0)
-    rep.add(CheckRecord("basel-partial-sum", basel_err,
-                        cfg["basel_tol"] * tol_scale,
-                        basel_err <= cfg["basel_tol"] * tol_scale,
-                        do_assert, {"m": m}))
+    rep.add(CheckRecord("basel-partial-sum", basel_err, cfg["basel_tol"],
+                        basel_err <= cfg["basel_tol"], True, {"m": m}))
 
     mt = cfg["bm_trace_m"]
     basis = KLBasis.build(BM, 1, n_panels=max(16, mt))
     fvals = trace_density(basis.s_nodes, mt, basis)
     integral = float(fvals @ basis.s_weights)
     err = abs(integral - 0.5)
-    rep.add(CheckRecord("bm-trace-integral", err, cfg["bm_trace_tol"] * tol_scale,
-                        err <= cfg["bm_trace_tol"] * tol_scale, do_assert,
-                        {"m": mt}))
+    rep.add(CheckRecord("bm-trace-integral", err, cfg["bm_trace_tol"],
+                        err <= cfg["bm_trace_tol"], True, {"m": mt}))
 
     mb = cfg["bridge_trace_m"]
     sgrid = np.linspace(0.0, 1.0, 101)
     bridge_basis = KLBasis.build(BRIDGE, 1)
     fb = trace_density(sgrid, mb, bridge_basis)
     sup_err = float(np.max(np.abs(fb - (sgrid - sgrid**2))))
-    rep.add(CheckRecord("bridge-trace-pointwise", sup_err,
-                        cfg["bridge_trace_tol"] * tol_scale,
-                        sup_err <= cfg["bridge_trace_tol"] * tol_scale,
-                        do_assert, {"m": mb}))
+    rep.add(CheckRecord("bridge-trace-pointwise", sup_err, cfg["bridge_trace_tol"],
+                        sup_err <= cfg["bridge_trace_tol"], True, {"m": mb}))
 
     for name, factory in _SHIPPED_SPECS.items():
         ok = validate_functional(factory()).ok
         rep.add(CheckRecord(f"functional-valid:{name}", ok, True, ok,
-                            do_assert, {"spec": name}))
+                            True, {"spec": name}))
     rejected = validate_functional(affine_level_spec(r=1.0))
     rep.add(CheckRecord("functional-rejected:affine(r=1)", not rejected.ok, True,
-                        not rejected.ok, do_assert, {"r": 1.0}))
+                        not rejected.ok, True, {"r": 1.0}))
 
-    tol = cfg["audit_tol"] * tol_scale
+    tol = cfg["audit_tol"]
     for name in ("affine", "reference_bm", "reference_bridge"):
         spec = _SHIPPED_SPECS[name]()
         for m_audit in cfg["audit_m"]:
@@ -493,7 +483,7 @@ def suite_wiener(cfg, seed, tol_scale, do_assert) -> SuiteReport:
                                                 seed + m_audit, tol=tol)
             rep.add(CheckRecord(
                 f"cylindrical-audit:{name}:m={m_audit}",
-                audit.min_h_gamma, -tol, audit.ok, do_assert,
+                audit.min_h_gamma, -tol, audit.ok, True,
                 {"spec": name, "m": m_audit, "samples": cfg["audit_samples"]},
             ))
 
@@ -504,13 +494,13 @@ def suite_wiener(cfg, seed, tol_scale, do_assert) -> SuiteReport:
                                          seed, tol=tol)
         rep.add(CheckRecord(
             f"epigraph-audit:{spec_e.name}:m={m_e}",
-            audit.min_h_gamma, -tol, audit.ok, do_assert,
+            audit.min_h_gamma, -tol, audit.ok, True,
             {"spec": spec_e.name, "m": m_e},
         ))
     return rep
 
 
-def suite_converge(cfg, seed, tol_scale, do_assert) -> SuiteReport:
+def suite_converge(cfg, seed) -> SuiteReport:
     rep = SuiteReport("converge", seed, cfg)
     spec = _SHIPPED_SPECS[cfg["spec"]]()
     rows_out = []
@@ -525,21 +515,21 @@ def suite_converge(cfg, seed, tol_scale, do_assert) -> SuiteReport:
                          row.residual_lo, row.residual_hi])
         rep.add(CheckRecord(
             f"convergence-finite:n={row.n}", row.d_l2, 1e30,
-            row.finite() and row.d_l2 < 1e30, do_assert,
+            row.finite() and row.d_l2 < 1e30, True,
             {"sigma": cfg["sigma"], "n": row.n}))
     by_n = {row.n: row for row in at_sigma}
     if 1 in by_n and 2 in by_n:
         rep.add(CheckRecord(
             "convergence-monotone:D2<=D1", by_n[2].d_l2, by_n[1].d_l2,
-            by_n[2].d_l2 <= by_n[1].d_l2, do_assert,
+            by_n[2].d_l2 <= by_n[1].d_l2, True,
             {"sigma": cfg["sigma"]}))
     for row in at_zero:
         rows_out.append([row.sigma, row.n, row.d_l2, row.d_grad,
                          row.residual_lo, row.residual_hi])
-        lim = cfg["d_zero_limit"] * tol_scale
+        lim = cfg["d_zero_limit"]
         rep.add(CheckRecord(
             f"convergence-identity-limit:n={row.n}", row.d_l2, lim,
-            row.d_l2 <= lim, do_assert,
+            row.d_l2 <= lim, True,
             {"sigma": cfg["sigma_zero"], "n": row.n}))
     rep.tables["convergence"] = Table(
         "consecutive-truncation differences D_n of the Dirichlet resolvent",
@@ -560,22 +550,14 @@ _SUITES = {
 }
 
 
-def run_suite(name, config, out_dir, seed, tol_scale=1.0, grid_h=None,
-              do_assert=True) -> SuiteReport:
+def run_suite(name, config, out_dir, seed) -> SuiteReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name == "solve":
-        rep = suite_solve(config, seed, tol_scale, do_assert, out_dir=out)
-    elif name in ("contract", "lemma"):
-        rep = _SUITES[name](config, seed, tol_scale, do_assert, grid_h=grid_h)
+        rep = suite_solve(config, seed, out_dir=out)
     else:
-        rep = _SUITES[name](config, seed, tol_scale, do_assert)
-    rep.environment = {
-        "package_version": __version__,
-        "seed": seed,
-        "tol_scale": tol_scale,
-        "grid_h_override": grid_h,
-    }
+        rep = _SUITES[name](config, seed)
+    rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
     emit_plotdata(rep, out)
     return rep
@@ -586,6 +568,9 @@ def _load_config(suite: str, path: str | None) -> dict:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"{path}: top level must be a JSON object, "
+                             f"not {type(user).__name__}")
         cfg.update(user)
     return cfg
 
@@ -601,11 +586,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config overriding defaults")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--tol-scale", type=float, default=1.0)
-    parser.add_argument("--grid-h", type=float, default=None,
-                        help="override grid spacing where applicable")
-    parser.add_argument("--assert", dest="do_assert", action="store_true", default=True)
-    parser.add_argument("--no-assert", dest="do_assert", action="store_false")
     args = parser.parse_args(argv)
 
     if args.suite == "all" and args.config is not None:
@@ -623,8 +603,7 @@ def main(argv=None) -> int:
             return 2
         out_dir = Path(args.out) / name if args.suite == "all" else Path(args.out)
         try:
-            rep = run_suite(name, cfg, out_dir, args.seed, args.tol_scale,
-                            args.grid_h, args.do_assert)
+            rep = run_suite(name, cfg, out_dir, args.seed)
         except (KeyError, ValueError) as exc:
             print(f"error: invalid config for {name}: {exc}", file=sys.stderr)
             return 2

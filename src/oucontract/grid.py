@@ -95,15 +95,7 @@ class GaussianGrid:
         for _ in range(depth):
             nxt = mask.copy()
             for a in range(self.dim):
-                up = np.zeros_like(mask)
-                dn = np.zeros_like(mask)
-                sl_to = [slice(None)] * self.dim
-                sl_from = [slice(None)] * self.dim
-                sl_to[a], sl_from[a] = slice(0, -1), slice(1, None)
-                up[tuple(sl_to)] = mask[tuple(sl_from)]
-                sl_to[a], sl_from[a] = slice(1, None), slice(0, -1)
-                dn[tuple(sl_to)] = mask[tuple(sl_from)]
-                nxt &= up & dn
+                nxt &= _shifted(mask, a, +1, fill=False) & _shifted(mask, a, -1, fill=False)
             mask = nxt
         return mask
 
@@ -204,8 +196,8 @@ def discrete_gradient(field: ScalarField) -> np.ndarray:
         h = grid.h[a]
         u_up = _shifted(u, a, +1)
         u_dn = _shifted(u, a, -1)
-        int_up = _shifted(interior.astype(bool), a, +1, fill=False)
-        int_dn = _shifted(interior.astype(bool), a, -1, fill=False)
+        int_up = _shifted(interior, a, +1, fill=False)
+        int_dn = _shifted(interior, a, -1, fill=False)
         central = int_up & int_dn
         comp = np.zeros(grid.shape)
         comp[central] = (u_up[central] - u_dn[central]) / (2.0 * h)

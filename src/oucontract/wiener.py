@@ -168,7 +168,6 @@ class FunctionalSpec:
 class ValidationReport:
     ok: bool
     failures: list[str]
-    worst_slack: dict
     witness: dict
 
 
@@ -185,11 +184,9 @@ def validate_functional(spec: FunctionalSpec) -> ValidationReport:
     gpp = np.asarray(spec.gpp(xi), dtype=float)
     failures: list[str] = []
     witness: dict = {}
-    worst: dict = {}
 
     def _check(name, slack_arr):
         k = int(np.argmin(slack_arr))
-        worst[name] = float(slack_arr[k])
         if slack_arr[k] < 0:
             failures.append(name)
             witness[name] = float(xi[k])
@@ -199,32 +196,16 @@ def validate_functional(spec: FunctionalSpec) -> ValidationReport:
     _check("envelope_upper", (spec.alpha2 * gv + spec.beta2) - xi * gp)
     _check("second_derivative_sup", spec.gpp_sup - np.abs(gpp))
 
-    in_range = float(np.min(gv)) <= spec.r <= float(np.max(gv))
-    worst["level_in_range"] = 0.0 if in_range else -1.0
-    if not in_range:
+    if not float(np.min(gv)) <= spec.r <= float(np.max(gv)):
         failures.append("level_in_range")
-
-    slack = spec.threshold_slack()
-    worst["threshold"] = slack
-    if slack < 0:
+    if spec.threshold_slack() < 0:
         failures.append("threshold")
 
-    return ValidationReport(not failures, failures, worst, witness)
-
-
-def _poly_funcs(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    c1 = np.polynomial.polynomial.polyder(c)
-    c2 = np.polynomial.polynomial.polyder(c, 2)
-    pv = np.polynomial.polynomial.polyval
-    return (
-        lambda x: pv(np.asarray(x, dtype=float), c),
-        lambda x: pv(np.asarray(x, dtype=float), c1),
-        lambda x: pv(np.asarray(x, dtype=float), c2),
-    )
+    return ValidationReport(not failures, failures, witness)
 
 
 def _rational_funcs(num, den):
+    """g = P/Q with g' and g'' by the quotient rule; den=[1.0] gives P, P', P''."""
     p = np.asarray(num, dtype=float)
     q = np.asarray(den, dtype=float)
     pv = np.polynomial.polynomial.polyval
@@ -252,7 +233,7 @@ def _rational_funcs(num, den):
 
 def affine_level_spec(r: float = -1.0, kind: str = BM) -> FunctionalSpec:
     """g(xi) = xi: xi g' = g exactly, so alpha = 1, beta = 0, g'' = 0."""
-    g, gp, gpp = _poly_funcs([0.0, 1.0])
+    g, gp, gpp = _rational_funcs([0.0, 1.0], [1.0])
     return FunctionalSpec(g, gp, gpp, c=1.0, alpha1=1.0, alpha2=1.0,
                           beta1=0.0, beta2=0.0, r=r, gpp_sup=0.0,
                           kind=kind, name=f"affine(r={r})")
@@ -274,7 +255,7 @@ def rational_reference_spec(kind: str = BM, r: float = -0.75) -> FunctionalSpec:
 def functional_spec_from_dict(d: dict) -> FunctionalSpec:
     gdef = d["g"]
     if gdef["type"] == "poly":
-        g, gp, gpp = _poly_funcs(gdef["coeffs"])
+        g, gp, gpp = _rational_funcs(gdef["coeffs"], [1.0])
     elif gdef["type"] == "rational":
         g, gp, gpp = _rational_funcs(gdef["num"], gdef["den"])
     else:

@@ -130,7 +130,7 @@ def test_criterion_2_solver_eigen_oracle():
 
 def test_criterion_3_cross_oracle_agreement():
     t0 = time.time()
-    rep = suite_oracle(DEFAULT_CONFIGS["oracle"], DEFAULT_SEED, 1.0, True)
+    rep = suite_oracle(DEFAULT_CONFIGS["oracle"], DEFAULT_SEED)
     elapsed = time.time() - t0
     worst = max(r.observed / r.bound for r in rep.records)
     for rec in rep.records:
