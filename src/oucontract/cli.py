@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .contract import (
-    BumpFunction,
     ContractRecord,
     boundary_flux_integral,
     boundary_probes,
@@ -62,10 +61,6 @@ from .wiener import (
 
 DEFAULT_SEED = 20260801
 SIGMA_ZERO = 1e-4
-
-# unit outward normal of the affine cylindrical domain at truncation 2,
-# (int h_1, int h_2) normalized; used to place its default bumps
-_CYL_BOUNDARY_DIST = 1.734101
 
 _HALFSPACE_SWEEP = {
     "name": "halfspace",
@@ -135,7 +130,6 @@ DEFAULT_CONFIGS: dict[str, dict] = {
         "sweeps": [_HALFSPACE_SWEEP, _BALL_SWEEP, _CYLINDRICAL_SWEEP],
         "sigma_zero": SIGMA_ZERO,
         "sigma_zero_band": [0.9, 1.02],
-        "richardson": True,
         "solver_tol": 1e-10,
     },
     "lemma": {
@@ -223,13 +217,14 @@ def build_domain(spec: dict) -> LevelSetDomain:
     return domain_from_spec(spec)
 
 
-def _bumps_for(domain: LevelSetDomain, bump_specs) -> list[BumpFunction]:
-    out = []
-    for i, b in enumerate(bump_specs):
-        out.append(
-            make_bump(domain, b["center"], b["radius"], b["margin"], label=f"bump{i}")
-        )
-    return out
+def _sweep_setup(sweep_cfg):
+    """A sweep's domain, its bumps, and a builder of its grid at spacing h."""
+    dom = build_domain(sweep_cfg["domain"])
+    bumps = [make_bump(dom, b["center"], b["radius"], b["margin"], label=f"bump{i}")
+             for i, b in enumerate(sweep_cfg["bumps"])]
+    g = sweep_cfg["grid"]
+    return dom, bumps, lambda h: GaussianGrid.build(dom, g["lo"], g["hi"], h,
+                                                    dim=g.get("dim"))
 
 
 # ---------------------------------------------------------------------------
@@ -289,70 +284,68 @@ def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
     return rep
 
 
-def _run_sweep(sweep_cfg, h, solver_tol):
-    dom = build_domain(sweep_cfg["domain"])
-    g = sweep_cfg["grid"]
-    grid = GaussianGrid.build(dom, g["lo"], g["hi"], h, dim=g.get("dim"))
-    bumps = _bumps_for(dom, sweep_cfg["bumps"])
-    result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], sweep_cfg["ps"],
-                                 bumps, solver_tol=solver_tol)
-    return dom, grid, bumps, result
-
-
 def suite_contract(cfg, seed) -> SuiteReport:
     rep = SuiteReport("contract", seed, cfg)
     rows = []
+    sigma_zero = cfg["sigma_zero"]
+    lo, hi_band = cfg["sigma_zero_band"]
     for sweep_cfg in cfg["sweeps"]:
-        h_cfg = sweep_cfg["grid"]["h"]
-        dom, grid, bumps, result = _run_sweep(sweep_cfg, h_cfg, cfg["solver_tol"])
-        h = float(np.max(grid.h))
-        tol = default_contract_tol(h)
+        sweep, h_cfg = sweep_cfg["name"], sweep_cfg["grid"]["h"]
+        dom, bumps, grid_at = _sweep_setup(sweep_cfg)
+        grid = grid_at(h_cfg)
+        # sigma -> 0 rides along in the same sweep, solved once
+        sigmas = sweep_cfg["sigmas"]
+        result = contractivity_sweep(
+            dom, grid, sigmas if sigma_zero in sigmas else sigmas + [sigma_zero],
+            sweep_cfg["ps"], bumps, solver_tol=cfg["solver_tol"])
+        tol = default_contract_tol(float(np.max(grid.h)))
         asserted = bool(sweep_cfg.get("assert_contractive", False))
         excesses = {}
-        for r in result.records:
+        for r in [r for r in result.records if r.sigma in sigmas]:
             rows.append(list(astuple(r)))
-            name = f"contract:{sweep_cfg['name']}:{r.bump}:sigma={r.sigma}:p={r.p}"
-            assert_this = asserted and r.converged and r.p > 1.0
             rep.add(CheckRecord(
-                name=name, observed=r.ratio, bound=1.0 + tol,
+                name=f"contract:{sweep}:{r.bump}:sigma={r.sigma}:p={r.p}",
+                observed=r.ratio, bound=1.0 + tol,
                 passed=(not r.converged) or r.ratio <= 1.0 + tol,
-                asserted=assert_this,
-                inputs={"sweep": sweep_cfg["name"], "sigma": r.sigma,
+                asserted=asserted and r.converged and r.p > 1.0,
+                inputs={"sweep": sweep, "sigma": r.sigma,
                         "p": r.p, "bump": r.bump, "h": r.h},
             ))
-            excesses[(r.bump, r.sigma, r.p)] = r.ratio - 1.0
+            if r.ratio - 1.0 > 1e-6:
+                excesses[(r.bump, r.sigma, r.p)] = r.ratio - 1.0
 
-        if cfg.get("richardson", False):
-            _, _, _, halved = _run_sweep(sweep_cfg, h_cfg / 2.0, cfg["solver_tol"])
+        # an excess over 1 must at least halve at h/2: solve only its sigmas, bumps
+        if excesses:
+            labels = {bump for bump, _, _ in excesses}
+            halved = contractivity_sweep(
+                dom, grid_at(h_cfg / 2.0), sorted({s for _, s, _ in excesses}),
+                sweep_cfg["ps"], [b for b in bumps if b.label in labels],
+                solver_tol=cfg["solver_tol"])
             for r in halved.records:
                 rows.append(list(astuple(r)))
-                ex_coarse = excesses.get((r.bump, r.sigma, r.p), 0.0)
-                if ex_coarse > 1e-6 and r.converged:
+                ex_coarse = excesses.get((r.bump, r.sigma, r.p))
+                if ex_coarse is not None and r.converged:
                     ex_fine = r.ratio - 1.0
                     rep.add(CheckRecord(
-                        name=(f"contract-richardson:{sweep_cfg['name']}:{r.bump}"
+                        name=(f"contract-richardson:{sweep}:{r.bump}"
                               f":sigma={r.sigma}:p={r.p}"),
                         observed=ex_fine, bound=ex_coarse / 2.0 + 1e-9,
                         passed=ex_fine <= ex_coarse / 2.0 + 1e-9,
                         asserted=asserted and r.p > 1.0,
-                        inputs={"sweep": sweep_cfg["name"], "sigma": r.sigma,
+                        inputs={"sweep": sweep, "sigma": r.sigma,
                                 "p": r.p, "bump": r.bump},
                     ))
 
         # resolvent -> identity as sigma -> 0
-        lo, hi_band = cfg["sigma_zero_band"]
-        zero_sweep = contractivity_sweep(dom, grid, [cfg["sigma_zero"]],
-                                         sweep_cfg["ps"], bumps,
-                                         solver_tol=cfg["solver_tol"])
-        for r in zero_sweep.records:
+        for r in [r for r in result.records if r.sigma == sigma_zero]:
             rows.append(list(astuple(r)))
             rep.add(CheckRecord(
-                name=f"sigma-zero:{sweep_cfg['name']}:{r.bump}:p={r.p}",
+                name=f"sigma-zero:{sweep}:{r.bump}:p={r.p}",
                 observed=r.ratio, bound=hi_band,
                 passed=lo <= r.ratio <= hi_band,
                 asserted=asserted and r.converged and r.p > 1.0,
-                inputs={"sweep": sweep_cfg["name"], "p": r.p, "bump": r.bump,
-                        "sigma": cfg["sigma_zero"]},
+                inputs={"sweep": sweep, "p": r.p, "bump": r.bump,
+                        "sigma": sigma_zero},
             ))
     # one column per ContractRecord field, in field order
     rep.tables["records"] = Table(
@@ -367,9 +360,11 @@ def suite_lemma(cfg, seed) -> SuiteReport:
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
     for sweep_cfg in cfg["sweeps"]:
+        dom, bumps, grid_at = _sweep_setup(sweep_cfg)
+        grid = grid_at(sweep_cfg["grid"]["h"])
         # the (sigma, bump) solutions alone: no p, so no ratio records
-        dom, grid, bumps, result = _run_sweep({**sweep_cfg, "ps": []},
-                                              sweep_cfg["grid"]["h"], cfg["solver_tol"])
+        result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
+                                     solver_tol=cfg["solver_tol"])
         h = float(np.max(grid.h))
         p_tol = cfg["pointwise_tol_h"] * h
         s_tol = cfg["slope_tol_h"] * h
@@ -395,8 +390,8 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": s_tol},
                 ))
-                for p in sweep_cfg["ps"]:
-                    val = boundary_flux_integral(sol.u, eps, float(p))
+                fluxes = boundary_flux_integral(sol.u, eps, sweep_cfg["ps"])
+                for p, val in zip(sweep_cfg["ps"], fluxes):
                     rep.add(CheckRecord(
                         name=f"boundary-flux-integral:{key}:p={p}",
                         observed=val, bound=f_tol,
@@ -604,7 +599,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) / name if args.suite == "all" else Path(args.out)
         try:
             rep = run_suite(name, cfg, out_dir, args.seed)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             print(f"error: invalid config for {name}: {exc}", file=sys.stderr)
             return 2
         for rec in rep.failures():

@@ -232,7 +232,7 @@ class BoundarySlopeReport:
 
     @property
     def ok(self) -> bool:
-        return len(self.violations) == 0
+        return self.n_checked > 0 and len(self.violations) == 0
 
 
 @dataclass
@@ -314,10 +314,12 @@ def check_boundary_normal_slope(
                                violations)
 
 
-def boundary_flux_integral(u: ScalarField, eps: float, p: float) -> float:
-    """Cell quadrature of L_h(g(phi_eps)) over the deep interior.
+def boundary_flux_integral(u: ScalarField, eps: float, ps) -> list[float]:
+    """Cell quadrature of L_h(g(phi_eps)) over the deep interior, per p.
 
-    g is ``convex_power_surrogate(p, _SURROGATE_DELTA)``.
+    g is ``convex_power_surrogate(p, _SURROGATE_DELTA)``.  phi_eps, the
+    core and the weights do not depend on p and are computed once for the
+    whole sequence ``ps``.
 
     In the continuum this equals the outward boundary flux of g(phi_eps)
     weighted by the Gaussian density, which is <= 0 under the curvature
@@ -326,12 +328,14 @@ def boundary_flux_integral(u: ScalarField, eps: float, p: float) -> float:
     """
     grid = u.grid
     _, phi_eps = gradient_magnitude_fields(u, eps)
-    g = convex_power_surrogate(p, _SURROGATE_DELTA)
-    psi = ScalarField(grid, g(phi_eps.values))
-    l_psi = discrete_ou_apply(psi)
     core = grid.eroded_interior(2)
-    w = grid.node_weights()
-    return float(np.sum(l_psi.values[core] * w[core]))
+    w = grid.node_weights()[core]
+    out = []
+    for p in ps:
+        g = convex_power_surrogate(float(p), _SURROGATE_DELTA)
+        l_psi = discrete_ou_apply(ScalarField(grid, g(phi_eps.values)))
+        out.append(float(np.sum(l_psi.values[core] * w)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ class CurvatureAudit:
         return (
             self.min_h_gamma >= -self.tol
             and self.min_bound_slack >= -self.tol
-            and self.first_coord_min > 0.0
+            and self.first_coord_min >= self.first_coord_floor
         )
 
 

@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from oucontract.cli import DEFAULT_CONFIGS, main, run_suite
+from oucontract.cli import (
+    DEFAULT_CONFIGS,
+    DEFAULT_SEED,
+    build_domain,
+    main,
+    run_suite,
+    suite_contract,
+)
+from oucontract.contract import contractivity_sweep, make_bump
+from oucontract.grid import GaussianGrid
 from oucontract.report import SuiteReport, Table, emit_plotdata
 
 
@@ -16,6 +25,22 @@ def small_curvature_cfg(radius, assert_flag=True, n_samples=24):
              "assert_nonnegative": assert_flag},
         ],
     }
+
+
+SMALL_CONTRACT_CFG = {
+    "sweeps": [{
+        "name": "half",
+        "domain": {"type": "halfspace", "dim": 2, "parameters": {"offset": 1.0}},
+        "grid": {"lo": -8.0, "hi": 8.0, "h": 0.2},
+        "sigmas": [1.0],
+        "ps": [2.0],
+        "bumps": [{"center": [-3.0, 0.0], "radius": 1.0, "margin": 0.5}],
+        "assert_contractive": True,
+    }],
+    "sigma_zero": 1e-4,
+    "sigma_zero_band": [0.7, 1.05],  # wide: h = 0.2 is deliberately coarse
+    "solver_tol": 1e-9,
+}
 
 
 class TestExitCodes:
@@ -52,6 +77,13 @@ class TestExitCodes:
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_wrong_type_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": "abc"}))
+        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--tol-scale", "2"], ["--grid-h", "0.2"],
                                       ["--no-assert"]])
     def test_removed_flags_are_usage_errors(self, tmp_path, flag):
@@ -69,29 +101,62 @@ class TestExitCodes:
         assert not rec["pass"] and not rec["asserted"]
 
     def test_config_grid_spacing_recorded(self, tmp_path):
-        cfg = {
-            "sweeps": [{
-                "name": "half",
-                "domain": {"type": "halfspace", "dim": 2,
-                           "parameters": {"offset": 1.0}},
-                "grid": {"lo": -8.0, "hi": 8.0, "h": 0.2},
-                "sigmas": [1.0],
-                "ps": [2.0],
-                "bumps": [{"center": [-3.0, 0.0], "radius": 1.0, "margin": 0.5}],
-                "assert_contractive": True,
-            }],
-            "sigma_zero": 1e-4,
-            "sigma_zero_band": [0.7, 1.05],  # wide: h = 0.2 is deliberately coarse
-            "richardson": False,
-            "solver_tol": 1e-9,
-        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(SMALL_CONTRACT_CFG))
         code = main(["contract", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         rows = (tmp_path / "out" / "contract_records.csv").read_text().splitlines()
         h_col = rows[1].split(",").index("h")
         assert all(abs(float(r.split(",")[h_col]) - 0.2) < 1e-12 for r in rows[2:])
+
+
+class TestContractRichardson:
+    """Only a coarse excess over 1 is solved again at h/2."""
+
+    def test_records_match_explicit_halved_sweep(self):
+        sweep_cfg = {**DEFAULT_CONFIGS["contract"]["sweeps"][0], "sigmas": [1e-4]}
+        cfg = {**DEFAULT_CONFIGS["contract"], "sweeps": [sweep_cfg],
+               "sigma_zero": 1e-4}
+        rep = suite_contract(cfg, DEFAULT_SEED)
+
+        dom = build_domain(sweep_cfg["domain"])
+        bumps = [make_bump(dom, b["center"], b["radius"], b["margin"],
+                           label=f"bump{i}")
+                 for i, b in enumerate(sweep_cfg["bumps"])]
+        g, ps, tol = sweep_cfg["grid"], sweep_cfg["ps"], cfg["solver_tol"]
+        coarse, fine = (
+            contractivity_sweep(dom, GaussianGrid.build(dom, g["lo"], g["hi"], h),
+                                sweep_cfg["sigmas"], ps, bumps, solver_tol=tol)
+            for h in (g["h"], g["h"] / 2.0))
+        excesses = {(r.bump, r.sigma, r.p): r.ratio - 1.0 for r in coarse.records}
+        expected = []
+        for r in fine.records:
+            ex_coarse = excesses.get((r.bump, r.sigma, r.p), 0.0)
+            if ex_coarse > 1e-6 and r.converged:
+                expected.append((
+                    f"contract-richardson:halfspace:{r.bump}:sigma={r.sigma}:p={r.p}",
+                    r.ratio - 1.0, ex_coarse / 2.0 + 1e-9,
+                    r.ratio - 1.0 <= ex_coarse / 2.0 + 1e-9, r.p > 1.0))
+        got = [(rec.name, rec.observed, rec.bound, rec.passed, rec.asserted)
+               for rec in rep.records if rec.name.startswith("contract-richardson:")]
+        assert expected
+        assert got == expected
+
+    def test_no_excess_builds_no_halved_grid(self, monkeypatch):
+        built = []
+        orig = GaussianGrid.build.__func__
+
+        def build(cls, domain, lo, hi, h, **kw):
+            built.append(h)
+            return orig(cls, domain, lo, hi, h, **kw)
+
+        monkeypatch.setattr(GaussianGrid, "build", classmethod(build))
+        rep = suite_contract(SMALL_CONTRACT_CFG, seed=1)
+        assert built == [0.2]
+        assert max(rec.observed for rec in rep.records
+                   if rec.name.startswith("contract:")) <= 1.0 + 1e-6
+        assert not any(rec.name.startswith("contract-richardson:")
+                       for rec in rep.records)
 
 
 class TestDomainBuilding:

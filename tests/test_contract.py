@@ -184,15 +184,32 @@ class TestBoundaryChecks:
         assert rep.violations == [(i, s - tol) for i, s in enumerate(ref) if s > tol]
         assert rep.violations
 
+    def test_slope_with_no_checked_point_fails(self):
+        # no seed-0 boundary point of the small ball has a fully interior
+        # probe pair on this coarse grid, so nothing is checked
+        dom = ball(2, 0.2)
+        grid = GaussianGrid.build(dom, -1.0, 1.0, 0.1)
+        probes = boundary_probes(grid, dom, 10, 0)
+        rep = check_boundary_normal_slope(ScalarField.zeros(grid), probes, 1e-3, 1.0)
+        assert (rep.n_checked, rep.n_skipped) == (0, 10)
+        assert not rep.ok
+
     def test_flux_integral_zero_solution(self, halfline):
         _, grid, _ = halfline
         u = ScalarField.zeros(grid)
-        assert boundary_flux_integral(u, 1e-3, 2.0) == pytest.approx(0.0, abs=1e-12)
+        (val,) = boundary_flux_integral(u, 1e-3, [2.0])
+        assert val == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_flux_integral_sign(self, halfline_solution, p):
-        val = boundary_flux_integral(halfline_solution.u, 1e-3, p)
+        (val,) = boundary_flux_integral(halfline_solution.u, 1e-3, [p])
         assert val <= 20 * 0.02
+
+    def test_flux_sequence_matches_single_calls(self, halfline_solution):
+        ps = [1.0, 1.5, 2.0, 3.0, 4.0]
+        vals = boundary_flux_integral(halfline_solution.u, 1e-3, ps)
+        assert vals == [boundary_flux_integral(halfline_solution.u, 1e-3, [p])[0]
+                        for p in ps]
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -207,6 +208,16 @@ class TestCurvatureAudits:
         assert audit.ok
         assert audit.min_h_gamma >= -1e-6
         assert audit.first_coord_min >= audit.first_coord_floor
+
+    def test_audit_below_slope_floor_fails(self):
+        # the affine audit passes with |dG/dxi_1| at its floor c*|int h_1 ds|;
+        # the same audit with that slope halved, still positive, must fail
+        audit = cylindrical_curvature_audit(affine_level_spec(r=-1.0),
+                                            KLBasis.build(BM, 2), 32, seed=2)
+        assert audit.ok
+        low = dataclasses.replace(audit, first_coord_min=audit.first_coord_min / 2)
+        assert 0.0 < low.first_coord_min < low.first_coord_floor
+        assert not low.ok
 
     def test_audit_at_max_truncation(self):
         basis = KLBasis.build(BM, 4)
