@@ -18,6 +18,14 @@ weight exp(-t_max/sigma) is 1e-6.  ``bias_budget`` declares
 sup|f| * (cap + dt) only: the O(sqrt(dt)) exit bias of grid-time killing
 is not inside it.
 
+States are stored column-major, as (d, v, m): coordinate, start, live
+path.  f and the level function get the transposed (v*m, d) view, whose
+columns are contiguous, so per-coordinate arithmetic such as x - c and
+the sum over coordinates run over contiguous memory.  The noise is drawn
+into a C-ordered (m, d) buffer and added transposed, so the random stream
+is that of a C-ordered (v, m, d) state, and so is every per-path sum
+whenever f and the level function give the same bits in either layout.
+
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
 """
@@ -88,7 +96,8 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
     """Per-path discounted occupation sums from v start points.
 
     Path j draws the same noise xi_k at every start (common random
-    numbers), so differences between starts are low variance.  A path
+    numbers), so differences between starts are low variance.  The states
+    are held as (d, v, m): coordinate, start, live path column.  A path
     column is compacted away once it is dead at every start; until then its
     dead rows are stepped but masked out of the sums.  Returns the per-path
     estimates, shape (v, n_paths), and the number of steps run.
@@ -96,7 +105,7 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
     v, d = starts.shape
     n = est.n_paths
     rng = np.random.default_rng(est.seed)
-    states = np.repeat(starts[:, None, :], n, axis=1)  # (v, m, d), m live columns
+    states = np.repeat(starts.T[:, :, None], n, axis=2)  # (d, v, m), m live columns
     totals = np.zeros((v, n))  # per original path, written on death/cap
     acc = np.zeros((v, n))
     path_id = np.arange(n)
@@ -108,14 +117,17 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
     steps_used = 0
     for k in range(est.n_steps):
         steps_used = k + 1
-        m = states.shape[1]
+        m = states.shape[2]
+        # (v*m, d) view with contiguous columns; states stays C-contiguous,
+        # so the view also sees the in-place step taken below
+        points = states.reshape(d, v * m).T
         # trapezoid rule in the discounted integrand: half weight at k = 0
         w = math.exp(-k * est.dt / est.sigma)
         if k == 0:
             w *= 0.5
         # f may return a view into the state buffer, so never scale fv
         # in place; the masked branch allocates a fresh array anyway
-        fv = np.asarray(f(states.reshape(v * m, d)), dtype=float).reshape(v, m)
+        fv = np.asarray(f(points), dtype=float).reshape(v, m)
         if masked:
             fv = fv * alive
             fv *= w
@@ -126,10 +138,10 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
         rng.standard_normal(out=buf)
         states *= decay
         buf *= sqrt_step
-        states += buf
+        states += buf.T[:, None, :]
         if est.domain is None:
             continue
-        inside = np.asarray(est.domain.value(states.reshape(v * m, d))) < 0.0
+        inside = np.asarray(est.domain.value(points)) < 0.0
         alive &= inside.reshape(v, m)
         n_alive = int(np.count_nonzero(alive))
         if n_alive == 0:
@@ -140,7 +152,7 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
             if m - int(np.count_nonzero(live)) > m // 8:
                 dead = ~live
                 totals[:, path_id[dead]] = acc[:, dead]
-                states = np.ascontiguousarray(states[:, live])
+                states = np.ascontiguousarray(states[:, :, live])
                 acc = acc[:, live]
                 path_id = path_id[live]
                 alive = alive[:, live]
@@ -153,9 +165,11 @@ def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.n
 def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """Estimate u(x) = (I - sigma*L)^-1 f at one interior point.
 
-    f must accept batches (n, d) -> (n,).  Returns the path-mean and its
-    standard error; the deterministic discretization allowance is
-    available separately via ``est.bias_budget``.
+    f must accept batches (n, d) -> (n,).  f and the domain's level function
+    are given an (n, d) view whose columns are contiguous (not C order); they
+    must not assume C order, and must not write into it.  Returns the
+    path-mean and its standard error; the deterministic discretization
+    allowance is available separately via ``est.bias_budget``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _require_interior(est.domain, x)

@@ -205,12 +205,23 @@ def validate_functional(spec: FunctionalSpec) -> ValidationReport:
 
 
 def _rational_funcs(num, den):
-    """g = P/Q with g' and g'' by the quotient rule; den=[1.0] gives P, P', P''."""
+    """g = P/Q with g' and g'' by the quotient rule.
+
+    A constant Q = q0 needs no quotient rule: g, g', g'' are P/q0, P'/q0
+    and P''/q0, evaluated without touching Q.
+    """
     p = np.asarray(num, dtype=float)
     q = np.asarray(den, dtype=float)
     pv = np.polynomial.polynomial.polyval
-    p1, p2 = np.polynomial.polynomial.polyder(p), np.polynomial.polynomial.polyder(p, 2)
-    q1, q2 = np.polynomial.polynomial.polyder(q), np.polynomial.polynomial.polyder(q, 2)
+    der = np.polynomial.polynomial.polyder
+    if q.size == 1:
+        c0 = p / q[0]
+        c1, c2 = der(c0), der(c0, 2)
+        return (lambda x: pv(np.asarray(x, dtype=float), c0),
+                lambda x: pv(np.asarray(x, dtype=float), c1),
+                lambda x: pv(np.asarray(x, dtype=float), c2))
+    p1, p2 = der(p), der(p, 2)
+    q1, q2 = der(q), der(q, 2)
 
     def g(x):
         x = np.asarray(x, dtype=float)

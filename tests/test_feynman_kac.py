@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,27 @@ class TestResolventValues:
         est = KilledPathEstimator(None, sigma=1.0, dt=2e-3, n_paths=20_000, seed=6)
         mc = mc_resolvent(est, lambda p: p[:, 0], np.array([0.7]))
         assert abs(mc.value - 0.35) <= 3 * mc.stderr + est.bias_budget(0.7 + 5.0)
+
+    def test_matches_plain_euler_loop_in_2d(self):
+        # an anisotropic f on the whole space against a plain C-ordered
+        # (n, d) Euler loop on the same stream: the kernel's state layout
+        # must not change a single bit of the estimate
+        def f(p):
+            return p[:, 1] + 2.0 * p[:, 0] ** 2
+
+        est = KilledPathEstimator(None, sigma=0.5, dt=5e-3, n_paths=3000, seed=19)
+        x0 = np.array([0.3, -0.6])
+        mc = mc_resolvent(est, f, x0)
+        rng = np.random.default_rng(est.seed)
+        x = np.repeat(x0[None, :], est.n_paths, axis=0)
+        acc = np.zeros(est.n_paths)
+        for k in range(est.n_steps):
+            w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
+            acc += w * f(x)
+            x = x * (1.0 - est.dt) + rng.standard_normal(x.shape) * math.sqrt(2.0 * est.dt)
+        per_path = acc * (est.dt / est.sigma)
+        assert mc.value == np.mean(per_path)
+        assert mc.stderr == np.std(per_path, ddof=1) / math.sqrt(est.n_paths)
 
     def test_positive_function_positive_estimate(self):
         dom = halfspace(1, 1.0)
@@ -136,6 +159,15 @@ class TestGradientProbe:
         g = mc_gradient_probe(est, lambda p: np.exp(-(p[:, 0] + 2.0) ** 2),
                               np.array([-1.3, 0.2]), 0.05)
         assert g[1] == 0.0
+
+    def test_compaction_keeps_paired_starts_identical_second_axis(self):
+        # the mirror image: domain, f and kill read only x2, so the +-e1
+        # starts must agree exactly; fails if the kernel mixes up the axes
+        est = KilledPathEstimator(halfspace(2, 1.0, axis=1), sigma=0.5, dt=2e-3,
+                                  n_paths=5000, seed=41)
+        g = mc_gradient_probe(est, lambda p: np.exp(-(p[:, 1] + 2.0) ** 2),
+                              np.array([0.2, -1.3]), 0.05)
+        assert g[0] == 0.0
 
     def test_probe_requires_interior_points(self):
         dom = halfspace(1, 1.0)
