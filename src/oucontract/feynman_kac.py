@@ -26,6 +26,16 @@ into a C-ordered (m, d) buffer and added transposed, so the random stream
 is that of a C-ordered (v, m, d) state, and so is every per-path sum
 whenever f and the level function give the same bits in either layout.
 
+The normals are drawn one step ahead on a worker thread, so each step's
+draw overlaps the previous step's update and kill test and its own f
+evaluation; numpy releases the GIL inside the draw and inside large
+array operations.  f and the level function are called only from the
+calling thread.  A draw is sized before the kill test that may compact
+the states; after a compaction the generator is rewound and the shorter
+block drawn again.  The normal stream is flat (k values and then l
+values are the first k + l values of one draw), so the random stream and
+every per-path sum are those of drawing each step's block in turn.
+
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
 """
@@ -33,11 +43,19 @@ solver: the two never share code beyond the domain's level function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import LevelSetDomain
+
+
+# Draws of fewer normals than this run on the calling thread.  Handing a
+# draw to the worker costs about 60 us a step on a 2-vCPU machine, which
+# the overlap repays only above about 10k normals with the oracle's bump
+# as f, and about 30k with a linear f.
+_THREADED_DRAW_MIN = 1 << 14
 
 
 @dataclass
@@ -85,6 +103,8 @@ class McEstimate:
     sigma: float
     seed: int
     n_steps_used: int = 0
+    # paths alive at some start after each tenth of the steps (11 counts)
+    live_paths: list[int] = field(default_factory=list)
 
 
 def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
@@ -92,74 +112,118 @@ def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
         raise ValueError(f"start point {x} is not interior to the domain")
 
 
-def _killed_paths(est: KilledPathEstimator, f, starts: np.ndarray) -> tuple[np.ndarray, int]:
+def _killed_paths(est: KilledPathEstimator, f,
+                  starts: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Per-path discounted occupation sums from v start points.
 
     Path j draws the same noise xi_k at every start (common random
     numbers), so differences between starts are low variance.  The states
     are held as (d, v, m): coordinate, start, live path column.  A path
     column is compacted away once it is dead at every start; until then its
-    dead rows are stepped but masked out of the sums.  Returns the per-path
-    estimates, shape (v, n_paths), and the number of steps run.
+    dead rows are stepped but masked out of the sums.
+
+    As soon as step k's normals are drawn, one worker thread starts step
+    k+1's draw into the second of two (n, d) buffers, while this thread
+    runs step k's update and kill test and step k+1's f.  f and the level
+    function are only ever called from this thread.  The lookahead draw is
+    sized by the live-column count m before step k's kill test; when
+    compaction then shrinks m, the draw in flight is awaited, the
+    generator's state saved just before it was submitted is put back, and
+    the shorter block is drawn again.  Compactions are rare, so is this
+    redraw.  Normals come from one flat stream (k values then l values are
+    the first k + l values of one draw), so the stream, and every per-path
+    sum, is that of drawing each step's block in turn on one thread.
+    Draws below ``_THREADED_DRAW_MIN`` values run on this thread; the
+    worker thread is started by the first draw that does not.  The
+    ``with`` block joins it on return and on error.
+
+    Returns the per-path estimates, shape (v, n_paths), the number of steps
+    run, and the number of paths alive at some start after each tenth of
+    ``est.n_steps`` (11 counts, from step 0).
     """
     v, d = starts.shape
     n = est.n_paths
+    n_steps = est.n_steps
     rng = np.random.default_rng(est.seed)
     states = np.repeat(starts.T[:, :, None], n, axis=2)  # (d, v, m), m live columns
     totals = np.zeros((v, n))  # per original path, written on death/cap
     acc = np.zeros((v, n))
     path_id = np.arange(n)
     alive = np.ones((v, n), dtype=bool)
-    noise = np.empty((n, d))
+    noise = (np.empty((n, d)), np.empty((n, d)))
     masked = False
     sqrt_step = math.sqrt(2.0 * est.dt)
     decay = 1.0 - est.dt
     steps_used = 0
-    for k in range(est.n_steps):
-        steps_used = k + 1
-        m = states.shape[2]
-        # (v*m, d) view with contiguous columns; states stays C-contiguous,
-        # so the view also sees the in-place step taken below
-        points = states.reshape(d, v * m).T
-        # trapezoid rule in the discounted integrand: half weight at k = 0
-        w = math.exp(-k * est.dt / est.sigma)
-        if k == 0:
-            w *= 0.5
-        # f may return a view into the state buffer, so never scale fv
-        # in place; the masked branch allocates a fresh array anyway
-        fv = np.asarray(f(points), dtype=float).reshape(v, m)
-        if masked:
-            fv = fv * alive
-            fv *= w
-            acc += fv
-        else:
-            acc += w * fv
-        buf = noise[:m]
-        rng.standard_normal(out=buf)
-        states *= decay
-        buf *= sqrt_step
-        states += buf.T[:, None, :]
-        if est.domain is None:
-            continue
-        inside = np.asarray(est.domain.value(points)) < 0.0
-        alive &= inside.reshape(v, m)
-        n_alive = int(np.count_nonzero(alive))
-        if n_alive == 0:
-            break
-        masked = n_alive < alive.size
-        if masked:
-            live = alive.any(axis=0)
-            if m - int(np.count_nonzero(live)) > m // 8:
-                dead = ~live
-                totals[:, path_id[dead]] = acc[:, dead]
-                states = np.ascontiguousarray(states[:, :, live])
-                acc = acc[:, live]
-                path_id = path_id[live]
-                alive = alive[:, live]
-                masked = n_alive < alive.size
+    survivors = [n]  # paths alive at some start after each step
+    with ThreadPoolExecutor(1, thread_name_prefix="oucontract-normals") as pool:
+
+        def draw_into(out):
+            if out.size >= _THREADED_DRAW_MIN:
+                return pool.submit(rng.standard_normal, out=out)
+            done = Future()
+            done.set_result(rng.standard_normal(out=out))
+            return done
+
+        draw = draw_into(noise[0])
+        for k in range(n_steps):
+            steps_used = k + 1
+            m = states.shape[2]
+            # (v*m, d) view with contiguous columns; states stays
+            # C-contiguous, so the view also sees the in-place step below
+            points = states.reshape(d, v * m).T
+            # trapezoid rule in the discounted integrand: half weight at k = 0
+            w = math.exp(-k * est.dt / est.sigma)
+            if k == 0:
+                w *= 0.5
+            # f may return a view into the state buffer, so never scale fv
+            # in place; the masked branch allocates a fresh array anyway
+            fv = np.asarray(f(points), dtype=float).reshape(v, m)
+            if masked:
+                fv = fv * alive
+                fv *= w
+                acc += fv
+            else:
+                acc += w * fv
+            buf = draw.result()
+            ahead = noise[(k + 1) % 2]
+            rewind = rng.bit_generator.state
+            draw = draw_into(ahead[:m])
+            states *= decay
+            buf *= sqrt_step
+            states += buf.T[:, None, :]
+            if est.domain is None:
+                survivors.append(m)
+                continue
+            inside = np.asarray(est.domain.value(points)) < 0.0
+            alive &= inside.reshape(v, m)
+            n_alive = int(np.count_nonzero(alive))
+            if n_alive == 0:
+                break
+            masked = n_alive < alive.size
+            n_live = m
+            if masked:
+                live = alive.any(axis=0)
+                n_live = int(np.count_nonzero(live))
+                if m - n_live > m // 8:
+                    # the next step draws for the n_live kept columns only
+                    draw.result()
+                    rng.bit_generator.state = rewind
+                    draw = draw_into(ahead[:n_live])
+                    dead = ~live
+                    totals[:, path_id[dead]] = acc[:, dead]
+                    states = np.ascontiguousarray(states[:, :, live])
+                    acc = acc[:, live]
+                    path_id = path_id[live]
+                    alive = alive[:, live]
+                    masked = n_alive < alive.size
+            survivors.append(n_live)
+        draw.result()  # the last lookahead draw is unused; surface its errors
     if path_id.size:
         totals[:, path_id] = acc
-    return totals * (est.dt / est.sigma), steps_used
+    survivors += [0] * (n_steps + 1 - len(survivors))  # all dead after a break
+    live_paths = [survivors[i * n_steps // 10] for i in range(11)]
+    return totals * (est.dt / est.sigma), steps_used, live_paths
 
 
 def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
@@ -173,13 +237,13 @@ def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _require_interior(est.domain, x)
-    per_path, steps_used = _killed_paths(est, f, x[None, :])
+    per_path, steps_used, live_paths = _killed_paths(est, f, x[None, :])
     per_path = per_path[0]
     n = est.n_paths
     value = float(np.mean(per_path))
     stderr = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(value, stderr, x, n, est.dt, est.sigma, est.seed,
-                      n_steps_used=steps_used)
+                      n_steps_used=steps_used, live_paths=live_paths)
 
 
 def mc_gradient_probe(est: KilledPathEstimator, f, x, h_fd: float) -> np.ndarray:

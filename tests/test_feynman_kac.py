@@ -1,15 +1,35 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from oucontract.contract import BumpFunction
 from oucontract.domains import ball, halfspace
-from oucontract.feynman_kac import KilledPathEstimator, mc_gradient_probe, mc_resolvent
+from oucontract.feynman_kac import (
+    _THREADED_DRAW_MIN,
+    KilledPathEstimator,
+    mc_gradient_probe,
+    mc_resolvent,
+)
 
 
 def ones(p):
     return np.ones(p.shape[0])
+
+
+def normals_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("oucontract-normals")]
+
+
+def batch_sizes(f, sizes):
+    # records the batch size of every call; each compaction shrinks it
+    def counted(p):
+        sizes.append(len(p))
+        return f(p)
+    return counted
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +55,89 @@ class TestEstimatorContract:
         b = mc_resolvent(est, ones, np.array([-2.0]))
         assert a.value == b.value
         assert a.stderr == b.stderr
+
+
+class TestLookaheadKernel:
+    # the normals are drawn a step ahead, on a worker thread while a draw
+    # holds at least _THREADED_DRAW_MIN values; a compaction rewinds the
+    # generator and redraws the shorter block.  The literals were recorded
+    # with a kernel that drew every step's block in turn on one thread
+    @staticmethod
+    def threaded_compactions(sizes, v, d):
+        # batch sizes shrink once per compaction; count those that leave a
+        # draw of the new size (m columns by d) on the worker thread
+        columns = sorted({size // v for size in sizes}, reverse=True)
+        return sum(m * d >= _THREADED_DRAW_MIN for m in columns[1:])
+
+    def check_compacting_ball(self):
+        sizes = []
+        est = KilledPathEstimator(ball(2, 1.5), sigma=0.5, dt=2e-3,
+                                  n_paths=20_000, seed=53)
+        bump = BumpFunction(np.array([0.3, -0.2]), 1.0)
+        mc = mc_resolvent(est, batch_sizes(bump, sizes), np.array([0.4, 0.3]))
+        assert self.threaded_compactions(sizes, 1, 2) >= 3
+        assert mc.value == 0.2782025584435025
+        assert mc.stderr == 0.0012179259602342622
+        assert mc.n_steps_used == 3118
+
+    def test_compacting_ball_estimate_is_pinned(self):
+        self.check_compacting_ball()
+
+    def test_pinned_under_frequent_thread_switches(self):
+        # the interpreter hands the lock between threads every 10 us, so an
+        # unsynchronised use of a buffer or of the generator shows in the bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self.check_compacting_ball()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_compacting_gradient_probe_is_pinned(self):
+        sizes = []
+        est = KilledPathEstimator(halfspace(2, 1.0), sigma=0.5, dt=2e-3,
+                                  n_paths=20_000, seed=59)
+        bump = BumpFunction(np.array([-2.0, 0.0]), 1.0)
+        g = mc_gradient_probe(est, batch_sizes(bump, sizes),
+                              np.array([-1.6, 0.2]), 0.05)
+        assert sizes[0] == 4 * 20_000  # v = 4 starts per path column
+        assert self.threaded_compactions(sizes, 4, 2) >= 3
+        assert g[0] == -0.3130352119641702
+        assert g[1] == -0.0890962701138101
+
+    def test_error_in_f_reaches_caller_and_no_thread_is_left(self):
+        seen = []
+
+        def failing(p):
+            seen.append(len(normals_threads()))
+            if len(seen) == 50:
+                raise ValueError("f failed at step 50")
+            return np.ones(p.shape[0])
+
+        est = KilledPathEstimator(halfspace(1, 1.0), sigma=0.5, dt=1e-2,
+                                  n_paths=_THREADED_DRAW_MIN, seed=3)
+        with pytest.raises(ValueError, match="step 50"):
+            mc_resolvent(est, failing, np.array([-2.0]))
+        assert len(seen) == 50 and seen[-1] == 1  # the worker was running
+        assert normals_threads() == []
+        mc_resolvent(est, ones, np.array([-2.0]))
+        assert normals_threads() == []
+
+    def test_live_paths_start_full_and_never_grow(self):
+        est = KilledPathEstimator(ball(2, 1.5), sigma=0.5, dt=2e-3,
+                                  n_paths=20_000, seed=53)
+        mc = mc_resolvent(est, ones, np.array([0.4, 0.3]))
+        live = mc.live_paths
+        assert len(live) == 11
+        assert live[0] == est.n_paths
+        assert all(b <= a for a, b in zip(live, live[1:]))
+        assert 0 < live[1] < est.n_paths
+        # every path leaves the ball before the cap, so the run stops early
+        assert mc.n_steps_used < est.n_steps and live[-1] == 0
+
+    def test_live_paths_stay_full_on_whole_space(self, free_estimator):
+        mc = mc_resolvent(free_estimator, ones, np.array([0.3]))
+        assert mc.live_paths == [free_estimator.n_paths] * 11
 
 
 class TestResolventValues:
