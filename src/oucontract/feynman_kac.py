@@ -43,19 +43,12 @@ solver: the two never share code beyond the domain's level function.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import LevelSetDomain
-
-
-# Draws of fewer normals than this run on the calling thread.  Handing a
-# draw to the worker costs about 60 us a step on a 2-vCPU machine, which
-# the overlap repays only above about 10k normals with the oracle's bump
-# as f, and about 30k with a linear f.
-_THREADED_DRAW_MIN = 1 << 14
 
 
 @dataclass
@@ -132,10 +125,8 @@ def _killed_paths(est: KilledPathEstimator, f,
     the shorter block is drawn again.  Compactions are rare, so is this
     redraw.  Normals come from one flat stream (k values then l values are
     the first k + l values of one draw), so the stream, and every per-path
-    sum, is that of drawing each step's block in turn on one thread.
-    Draws below ``_THREADED_DRAW_MIN`` values run on this thread; the
-    worker thread is started by the first draw that does not.  The
-    ``with`` block joins it on return and on error.
+    sum, is that of drawing each step's block in turn on one thread.  The
+    ``with`` block joins the worker on return and on error.
 
     Returns the per-path estimates, shape (v, n_paths), the number of steps
     run, and the number of paths alive at some start after each tenth of
@@ -155,17 +146,10 @@ def _killed_paths(est: KilledPathEstimator, f,
     sqrt_step = math.sqrt(2.0 * est.dt)
     decay = 1.0 - est.dt
     steps_used = 0
-    survivors = [n]  # paths alive at some start after each step
+    marks = [i * n_steps // 10 for i in range(11)]  # steps run at each tenth
+    live_paths = [n] * marks.count(0)
     with ThreadPoolExecutor(1, thread_name_prefix="oucontract-normals") as pool:
-
-        def draw_into(out):
-            if out.size >= _THREADED_DRAW_MIN:
-                return pool.submit(rng.standard_normal, out=out)
-            done = Future()
-            done.set_result(rng.standard_normal(out=out))
-            return done
-
-        draw = draw_into(noise[0])
+        draw = pool.submit(rng.standard_normal, out=noise[0])
         for k in range(n_steps):
             steps_used = k + 1
             m = states.shape[2]
@@ -188,41 +172,38 @@ def _killed_paths(est: KilledPathEstimator, f,
             buf = draw.result()
             ahead = noise[(k + 1) % 2]
             rewind = rng.bit_generator.state
-            draw = draw_into(ahead[:m])
+            draw = pool.submit(rng.standard_normal, out=ahead[:m])
             states *= decay
             buf *= sqrt_step
             states += buf.T[:, None, :]
-            if est.domain is None:
-                survivors.append(m)
-                continue
-            inside = np.asarray(est.domain.value(points)) < 0.0
-            alive &= inside.reshape(v, m)
-            n_alive = int(np.count_nonzero(alive))
-            if n_alive == 0:
-                break
-            masked = n_alive < alive.size
             n_live = m
-            if masked:
-                live = alive.any(axis=0)
-                n_live = int(np.count_nonzero(live))
-                if m - n_live > m // 8:
-                    # the next step draws for the n_live kept columns only
-                    draw.result()
-                    rng.bit_generator.state = rewind
-                    draw = draw_into(ahead[:n_live])
-                    dead = ~live
-                    totals[:, path_id[dead]] = acc[:, dead]
-                    states = np.ascontiguousarray(states[:, :, live])
-                    acc = acc[:, live]
-                    path_id = path_id[live]
-                    alive = alive[:, live]
-                    masked = n_alive < alive.size
-            survivors.append(n_live)
+            if est.domain is not None:
+                inside = np.asarray(est.domain.value(points)) < 0.0
+                alive &= inside.reshape(v, m)
+                n_alive = int(np.count_nonzero(alive))
+                if n_alive == 0:
+                    break
+                masked = n_alive < alive.size
+                if masked:
+                    live = alive.any(axis=0)
+                    n_live = int(np.count_nonzero(live))
+                    if m - n_live > m // 8:
+                        # the next step draws for the n_live kept columns only
+                        draw.result()
+                        rng.bit_generator.state = rewind
+                        draw = pool.submit(rng.standard_normal, out=ahead[:n_live])
+                        dead = ~live
+                        totals[:, path_id[dead]] = acc[:, dead]
+                        states = np.ascontiguousarray(states[:, :, live])
+                        acc = acc[:, live]
+                        path_id = path_id[live]
+                        alive = alive[:, live]
+                        masked = n_alive < alive.size
+            live_paths += [n_live] * marks.count(k + 1)
         draw.result()  # the last lookahead draw is unused; surface its errors
     if path_id.size:
         totals[:, path_id] = acc
-    survivors += [0] * (n_steps + 1 - len(survivors))  # all dead after a break
-    live_paths = [survivors[i * n_steps // 10] for i in range(11)]
+    live_paths += [0] * (11 - len(live_paths))  # all dead after a break
     return totals * (est.dt / est.sigma), steps_used, live_paths
 
 

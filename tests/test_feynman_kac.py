@@ -7,12 +7,7 @@ import pytest
 
 from oucontract.contract import BumpFunction
 from oucontract.domains import ball, halfspace
-from oucontract.feynman_kac import (
-    _THREADED_DRAW_MIN,
-    KilledPathEstimator,
-    mc_gradient_probe,
-    mc_resolvent,
-)
+from oucontract.feynman_kac import KilledPathEstimator, mc_gradient_probe, mc_resolvent
 
 
 def ones(p):
@@ -57,33 +52,57 @@ class TestEstimatorContract:
         assert a.stderr == b.stderr
 
 
-class TestLookaheadKernel:
-    # the normals are drawn a step ahead, on a worker thread while a draw
-    # holds at least _THREADED_DRAW_MIN values; a compaction rewinds the
-    # generator and redraws the shorter block.  The literals were recorded
-    # with a kernel that drew every step's block in turn on one thread
-    @staticmethod
-    def threaded_compactions(sizes, v, d):
-        # batch sizes shrink once per compaction; count those that leave a
-        # draw of the new size (m columns by d) on the worker thread
-        columns = sorted({size // v for size in sizes}, reverse=True)
-        return sum(m * d >= _THREADED_DRAW_MIN for m in columns[1:])
+def sequential_killed_paths(est, f, starts):
+    # the kernel's rule on one thread, in a C-ordered (v, m, d) state: each
+    # step's normals are drawn in turn, and the path columns dead at every
+    # start are dropped once they are more than an eighth of the columns
+    v, d = starts.shape
+    n = est.n_paths
+    rng = np.random.default_rng(est.seed)
+    x = np.repeat(starts[:, None, :], n, axis=1)
+    acc = np.zeros((v, n))
+    totals = np.zeros((v, n))
+    path_id = np.arange(n)
+    alive = np.ones((v, n), dtype=bool)
+    for k in range(est.n_steps):
+        m = x.shape[1]
+        w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
+        acc += w * f(x.reshape(v * m, d)).reshape(v, m) * alive
+        noise = rng.standard_normal((m, d)) * math.sqrt(2.0 * est.dt)
+        x = x * (1.0 - est.dt) + noise[None, :, :]
+        alive &= est.domain.value(x.reshape(v * m, d)).reshape(v, m) < 0.0
+        if not alive.any():
+            break
+        live = alive.any(axis=0)
+        if m - np.count_nonzero(live) > m // 8:
+            totals[:, path_id[~live]] = acc[:, ~live]
+            x, acc = x[:, live], acc[:, live]
+            path_id, alive = path_id[live], alive[:, live]
+    totals[:, path_id] = acc
+    return totals * (est.dt / est.sigma), k + 1
 
+
+class TestLookaheadKernel:
+    # the normals are drawn a step ahead on a worker thread, and a
+    # compaction rewinds the generator and redraws the shorter block; the
+    # estimates must be those of drawing each step's block in turn
     def check_compacting_ball(self):
         sizes = []
         est = KilledPathEstimator(ball(2, 1.5), sigma=0.5, dt=2e-3,
                                   n_paths=20_000, seed=53)
         bump = BumpFunction(np.array([0.3, -0.2]), 1.0)
-        mc = mc_resolvent(est, batch_sizes(bump, sizes), np.array([0.4, 0.3]))
-        assert self.threaded_compactions(sizes, 1, 2) >= 3
-        assert mc.value == 0.2782025584435025
-        assert mc.stderr == 0.0012179259602342622
-        assert mc.n_steps_used == 3118
+        x0 = np.array([0.4, 0.3])
+        mc = mc_resolvent(est, batch_sizes(bump, sizes), x0)
+        assert len(set(sizes)) > 3  # at least three compactions
+        per_path, steps = sequential_killed_paths(est, bump, x0[None, :])
+        assert mc.value == np.mean(per_path[0])
+        assert mc.stderr == np.std(per_path[0], ddof=1) / math.sqrt(est.n_paths)
+        assert mc.n_steps_used == steps
 
-    def test_compacting_ball_estimate_is_pinned(self):
+    def test_compacting_ball_matches_sequential_draws(self):
         self.check_compacting_ball()
 
-    def test_pinned_under_frequent_thread_switches(self):
+    def test_sequential_draws_under_frequent_thread_switches(self):
         # the interpreter hands the lock between threads every 10 us, so an
         # unsynchronised use of a buffer or of the generator shows in the bits
         interval = sys.getswitchinterval()
@@ -93,17 +112,18 @@ class TestLookaheadKernel:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_compacting_gradient_probe_is_pinned(self):
+    def test_compacting_gradient_probe_matches_sequential_draws(self):
         sizes = []
         est = KilledPathEstimator(halfspace(2, 1.0), sigma=0.5, dt=2e-3,
                                   n_paths=20_000, seed=59)
         bump = BumpFunction(np.array([-2.0, 0.0]), 1.0)
-        g = mc_gradient_probe(est, batch_sizes(bump, sizes),
-                              np.array([-1.6, 0.2]), 0.05)
+        x0, h = np.array([-1.6, 0.2]), 0.05
+        g = mc_gradient_probe(est, batch_sizes(bump, sizes), x0, h)
         assert sizes[0] == 4 * 20_000  # v = 4 starts per path column
-        assert self.threaded_compactions(sizes, 4, 2) >= 3
-        assert g[0] == -0.3130352119641702
-        assert g[1] == -0.0890962701138101
+        assert len(set(sizes)) > 3
+        starts = np.array([x0 + [h, 0], x0 - [h, 0], x0 + [0, h], x0 - [0, h]])
+        values = sequential_killed_paths(est, bump, starts)[0].mean(axis=1)
+        assert np.array_equal(g, (values[0::2] - values[1::2]) / (2.0 * h))
 
     def test_error_in_f_reaches_caller_and_no_thread_is_left(self):
         seen = []
@@ -115,7 +135,7 @@ class TestLookaheadKernel:
             return np.ones(p.shape[0])
 
         est = KilledPathEstimator(halfspace(1, 1.0), sigma=0.5, dt=1e-2,
-                                  n_paths=_THREADED_DRAW_MIN, seed=3)
+                                  n_paths=2000, seed=3)
         with pytest.raises(ValueError, match="step 50"):
             mc_resolvent(est, failing, np.array([-2.0]))
         assert len(seen) == 50 and seen[-1] == 1  # the worker was running
