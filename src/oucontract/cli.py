@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -227,6 +228,35 @@ def _sweep_setup(sweep_cfg):
                                                     dim=g.get("dim"))
 
 
+# Solved sweeps shared by the contract and lemma suites of one process, keyed
+# by _sweep_key: (domain, bumps, grid, SweepResult) of a sweep at spacing h.
+# suite_contract empties the store and then fills it; suite_lemma pops the
+# entry of each of its sweeps, so an entry is read at most once.
+_SOLVED_SWEEPS: dict[str, tuple] = {}
+
+
+def _sweep_key(sweep_cfg, solver_tol) -> str:
+    """Canonical JSON of everything a sweep's solutions depend on, but sigma."""
+    return json.dumps({"domain": sweep_cfg["domain"], "grid": sweep_cfg["grid"],
+                       "bumps": sweep_cfg["bumps"], "solver_tol": solver_tol},
+                      sort_keys=True)
+
+
+def _take_solved_sweep(sweep_cfg, solver_tol):
+    """Pop the stored entry of a sweep; None unless it solved every pair read.
+
+    The pairs read are the sweep's ``sigmas`` times its bumps.
+    """
+    entry = _SOLVED_SWEEPS.pop(_sweep_key(sweep_cfg, solver_tol), None)
+    if entry is None:
+        return None
+    _, bumps, _, result = entry
+    if all((float(sigma), bump.label) in result.solutions
+           for sigma in sweep_cfg["sigmas"] for bump in bumps):
+        return entry
+    return None
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -289,6 +319,8 @@ def suite_contract(cfg, seed) -> SuiteReport:
     rows = []
     sigma_zero = cfg["sigma_zero"]
     lo, hi_band = cfg["sigma_zero_band"]
+    n_solves = 0
+    _SOLVED_SWEEPS.clear()
     for sweep_cfg in cfg["sweeps"]:
         sweep, h_cfg = sweep_cfg["name"], sweep_cfg["grid"]["h"]
         dom, bumps, grid_at = _sweep_setup(sweep_cfg)
@@ -298,6 +330,9 @@ def suite_contract(cfg, seed) -> SuiteReport:
         result = contractivity_sweep(
             dom, grid, sigmas if sigma_zero in sigmas else sigmas + [sigma_zero],
             sweep_cfg["ps"], bumps, solver_tol=cfg["solver_tol"])
+        n_solves += len(result.solutions)
+        _SOLVED_SWEEPS[_sweep_key(sweep_cfg, cfg["solver_tol"])] = (
+            dom, bumps, grid, result)
         tol = default_contract_tol(float(np.max(grid.h)))
         asserted = bool(sweep_cfg.get("assert_contractive", False))
         excesses = {}
@@ -321,6 +356,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
                 dom, grid_at(h_cfg / 2.0), sorted({s for _, s, _ in excesses}),
                 sweep_cfg["ps"], [b for b in bumps if b.label in labels],
                 solver_tol=cfg["solver_tol"])
+            n_solves += len(halved.solutions)
             for r in halved.records:
                 rows.append(list(astuple(r)))
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p))
@@ -353,18 +389,26 @@ def suite_contract(cfg, seed) -> SuiteReport:
         [f.name for f in fields(ContractRecord)],
         rows,
     )
+    rep.profile.update(linear_solves=n_solves, solutions_reused=0)
     return rep
 
 
 def suite_lemma(cfg, seed) -> SuiteReport:
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
+    n_solves = n_reused = 0
     for sweep_cfg in cfg["sweeps"]:
-        dom, bumps, grid_at = _sweep_setup(sweep_cfg)
-        grid = grid_at(sweep_cfg["grid"]["h"])
-        # the (sigma, bump) solutions alone: no p, so no ratio records
-        result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
-                                     solver_tol=cfg["solver_tol"])
+        solved = _take_solved_sweep(sweep_cfg, cfg["solver_tol"])
+        if solved is not None:
+            dom, bumps, grid, result = solved
+            n_reused += len(sweep_cfg["sigmas"]) * len(bumps)
+        else:
+            dom, bumps, grid_at = _sweep_setup(sweep_cfg)
+            grid = grid_at(sweep_cfg["grid"]["h"])
+            # the (sigma, bump) solutions alone: no p, so no ratio records
+            result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
+                                         solver_tol=cfg["solver_tol"])
+            n_solves += len(result.solutions)
         h = float(np.max(grid.h))
         p_tol = cfg["pointwise_tol_h"] * h
         s_tol = cfg["slope_tol_h"] * h
@@ -399,6 +443,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                         inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                                 "bump": bump.label, "eps": eps, "p": p},
                     ))
+    rep.profile.update(linear_solves=n_solves, solutions_reused=n_reused)
     return rep
 
 
@@ -548,10 +593,12 @@ _SUITES = {
 def run_suite(name, config, out_dir, seed) -> SuiteReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     if name == "solve":
         rep = suite_solve(config, seed, out_dir=out)
     else:
         rep = _SUITES[name](config, seed)
+    rep.profile["wall_s"] = time.perf_counter() - t0
     rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
     emit_plotdata(rep, out)

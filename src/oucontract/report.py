@@ -1,8 +1,8 @@
 """Suite reports: deterministic JSON payloads plus CSV side tables.
 
 Re-running a suite with the same config and seed must reproduce the JSON
-payload byte for byte; the only volatile field, the timestamp, lives
-outside the payload.
+payload byte for byte; the volatile fields, the timestamp and the
+``profile`` block (wall time and work counters), live outside the payload.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class SuiteReport:
     records: list[CheckRecord] = field(default_factory=list)
     environment: dict = field(default_factory=dict)
     tables: dict[str, Table] = field(default_factory=dict)
+    profile: dict = field(default_factory=dict)  # written beside the payload
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
@@ -85,6 +86,7 @@ class SuiteReport:
         doc = {
             "payload": self.payload(),
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "profile": self.profile,
         }
         path = out / "report.json"
         with open(path, "w", encoding="utf-8") as fh:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from oucontract import cli, contract
 from oucontract.cli import (
     DEFAULT_CONFIGS,
     DEFAULT_SEED,
@@ -41,6 +42,25 @@ SMALL_CONTRACT_CFG = {
     "sigma_zero_band": [0.7, 1.05],  # wide: h = 0.2 is deliberately coarse
     "solver_tol": 1e-9,
 }
+
+
+# two sweeps solved by the contract suite and read again by the lemma suite
+TWO_SWEEP_CONTRACT_CFG = {**SMALL_CONTRACT_CFG, "sweeps": [
+    SMALL_CONTRACT_CFG["sweeps"][0],
+    {
+        "name": "ball",
+        "domain": {"type": "ball", "dim": 2, "parameters": {"radius": 1.0}},
+        "grid": {"lo": -1.3, "hi": 1.3, "h": 0.05},
+        "sigmas": [0.1, 1.0],
+        "ps": [2.0],
+        "bumps": [{"center": [0.0, 0.0], "radius": 0.45, "margin": 0.3}],
+        "assert_contractive": True,
+    },
+]}
+TWO_SWEEP_LEMMA_CFG = {**DEFAULT_CONFIGS["lemma"],
+                       "sweeps": TWO_SWEEP_CONTRACT_CFG["sweeps"],
+                       "n_boundary_samples": 10,
+                       "solver_tol": TWO_SWEEP_CONTRACT_CFG["solver_tol"]}
 
 
 class TestExitCodes:
@@ -157,6 +177,75 @@ class TestContractRichardson:
                    if rec.name.startswith("contract:")) <= 1.0 + 1e-6
         assert not any(rec.name.startswith("contract-richardson:")
                        for rec in rep.records)
+
+
+class TestSharedSweeps:
+    """The lemma suite reads the solutions the contract suite just made."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        orig = contract.solve_resolvent
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].sigma)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(contract, "solve_resolvent", counted)
+        return calls
+
+    @staticmethod
+    def lemma_report(path):
+        rep = run_suite("lemma", TWO_SWEEP_LEMMA_CFG, path, seed=5)
+        return rep, json.loads((path / "report.json").read_text())
+
+    def test_payload_identical_alone_and_after_contract(self, tmp_path):
+        alone, alone_doc = self.lemma_report(tmp_path / "alone")
+        run_suite("contract", TWO_SWEEP_CONTRACT_CFG, tmp_path / "contract", seed=5)
+        shared, shared_doc = self.lemma_report(tmp_path / "shared")
+        assert alone.records and shared.records
+        assert (json.dumps(alone_doc["payload"], indent=2, sort_keys=True)
+                == json.dumps(shared_doc["payload"], indent=2, sort_keys=True))
+        # the profile sits beside the payload: 3 pairs solved alone, 3 reused
+        assert set(shared_doc) == {"payload", "generated_at", "profile"}
+        assert set(shared_doc["payload"]) == {"suite", "seed", "config",
+                                              "environment", "records", "ok"}
+        assert alone_doc["profile"]["linear_solves"] == 3
+        assert alone_doc["profile"]["solutions_reused"] == 0
+        assert shared_doc["profile"]["linear_solves"] == 0
+        assert shared_doc["profile"]["solutions_reused"] == 3
+        assert shared_doc["profile"]["wall_s"] > 0.0
+
+    def test_no_solve_after_contract_and_store_emptied(self, solve_calls):
+        rep = suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+        # sigma -> 0 rides along: 2 + 3 solves, every one counted
+        assert len(solve_calls) == rep.profile["linear_solves"] == 5
+        assert len(cli._SOLVED_SWEEPS) == 2
+        del solve_calls[:]
+        cli.suite_lemma(TWO_SWEEP_LEMMA_CFG, seed=5)
+        assert solve_calls == []
+        assert cli._SOLVED_SWEEPS == {}
+
+    def test_other_sigmas_solve_again(self, solve_calls):
+        suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+        half, ball = TWO_SWEEP_LEMMA_CFG["sweeps"]
+        cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": [{**half, "sigmas": [2.0]}, ball]}
+        del solve_calls[:]
+        rep = cli.suite_lemma(cfg, seed=5)
+        assert solve_calls == [2.0]
+        assert rep.profile == {"linear_solves": 1, "solutions_reused": 2}
+        assert cli._SOLVED_SWEEPS == {}
+
+    def test_other_solver_tol_solves_again(self, solve_calls):
+        suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+        del solve_calls[:]
+        rep = cli.suite_lemma({**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10}, seed=5)
+        assert sorted(solve_calls) == [0.1, 1.0, 1.0]
+        assert rep.profile == {"linear_solves": 3, "solutions_reused": 0}
+        # the contract's entries stay until the next contract run empties them
+        assert len(cli._SOLVED_SWEEPS) == 2
+        suite_contract({**TWO_SWEEP_CONTRACT_CFG, "sweeps": []}, seed=5)
+        assert cli._SOLVED_SWEEPS == {}
 
 
 class TestDomainBuilding:

@@ -1,10 +1,12 @@
 import math
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from oucontract import feynman_kac
 from oucontract.contract import BumpFunction
 from oucontract.domains import ball, halfspace
 from oucontract.feynman_kac import KilledPathEstimator, mc_gradient_probe, mc_resolvent
@@ -50,6 +52,24 @@ class TestEstimatorContract:
         b = mc_resolvent(est, ones, np.array([-2.0]))
         assert a.value == b.value
         assert a.stderr == b.stderr
+
+
+class SynchronousExecutor:
+    """Stand-in for ThreadPoolExecutor: each call runs when it is submitted."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        done = Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
 
 
 def sequential_killed_paths(est, f, starts):
@@ -111,6 +131,13 @@ class TestLookaheadKernel:
             self.check_compacting_ball()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_rewind_state_is_read_before_the_draw_is_submitted(self, monkeypatch):
+        # a worker that draws at once consumes the lookahead block before
+        # submit returns; a rewind state read after submitting would then
+        # skip that block, which the worker thread rarely shows in time
+        monkeypatch.setattr(feynman_kac, "ThreadPoolExecutor", SynchronousExecutor)
+        self.check_compacting_ball()
 
     def test_compacting_gradient_probe_matches_sequential_draws(self):
         sizes = []
