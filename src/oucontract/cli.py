@@ -257,6 +257,13 @@ def _take_solved_sweep(sweep_cfg, solver_tol):
     return None
 
 
+def _solve_counters(solutions) -> dict:
+    """Profile counters of a suite's solves: count, CG iterations, unknowns."""
+    return {"linear_solves": len(solutions),
+            "cg_iterations": sum(sol.iterations for sol in solutions),
+            "unknowns": sum(sol.diagnostics["n_unknowns"] for sol in solutions)}
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -319,7 +326,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
     rows = []
     sigma_zero = cfg["sigma_zero"]
     lo, hi_band = cfg["sigma_zero_band"]
-    n_solves = 0
+    sols = []
     _SOLVED_SWEEPS.clear()
     for sweep_cfg in cfg["sweeps"]:
         sweep, h_cfg = sweep_cfg["name"], sweep_cfg["grid"]["h"]
@@ -330,7 +337,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
         result = contractivity_sweep(
             dom, grid, sigmas if sigma_zero in sigmas else sigmas + [sigma_zero],
             sweep_cfg["ps"], bumps, solver_tol=cfg["solver_tol"])
-        n_solves += len(result.solutions)
+        sols.extend(result.solutions.values())
         _SOLVED_SWEEPS[_sweep_key(sweep_cfg, cfg["solver_tol"])] = (
             dom, bumps, grid, result)
         tol = default_contract_tol(float(np.max(grid.h)))
@@ -356,7 +363,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
                 dom, grid_at(h_cfg / 2.0), sorted({s for _, s, _ in excesses}),
                 sweep_cfg["ps"], [b for b in bumps if b.label in labels],
                 solver_tol=cfg["solver_tol"])
-            n_solves += len(halved.solutions)
+            sols.extend(halved.solutions.values())
             for r in halved.records:
                 rows.append(list(astuple(r)))
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p))
@@ -389,14 +396,15 @@ def suite_contract(cfg, seed) -> SuiteReport:
         [f.name for f in fields(ContractRecord)],
         rows,
     )
-    rep.profile.update(linear_solves=n_solves, solutions_reused=0)
+    rep.profile.update(_solve_counters(sols), solutions_reused=0)
     return rep
 
 
 def suite_lemma(cfg, seed) -> SuiteReport:
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
-    n_solves = n_reused = 0
+    sols = []
+    n_reused = 0
     for sweep_cfg in cfg["sweeps"]:
         solved = _take_solved_sweep(sweep_cfg, cfg["solver_tol"])
         if solved is not None:
@@ -408,7 +416,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
             # the (sigma, bump) solutions alone: no p, so no ratio records
             result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
                                          solver_tol=cfg["solver_tol"])
-            n_solves += len(result.solutions)
+            sols.extend(result.solutions.values())
         h = float(np.max(grid.h))
         p_tol = cfg["pointwise_tol_h"] * h
         s_tol = cfg["slope_tol_h"] * h
@@ -443,7 +451,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                         inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                                 "bump": bump.label, "eps": eps, "p": p},
                     ))
-    rep.profile.update(linear_solves=n_solves, solutions_reused=n_reused)
+    rep.profile.update(_solve_counters(sols), solutions_reused=n_reused)
     return rep
 
 
@@ -451,6 +459,8 @@ def suite_oracle(cfg, seed) -> SuiteReport:
     rep = SuiteReport("oracle", seed, cfg)
     sigma = cfg["sigma"]
     rows = []
+    sols = []
+    probes = {}  # record name -> Monte Carlo work counters
     for case in cfg["cases"]:
         dom = build_domain(case["domain"])
         g = case["grid"]
@@ -459,6 +469,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
         bump = make_bump(dom, b["center"], b["radius"], b["margin"])
         rhs = ScalarField.from_callable(grid, bump)
         sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=1e-10)
+        sols.append(sol)
         interp = grid.interpolator(sol.u.values)
         for j, probe in enumerate(case["probes"]):
             est = KilledPathEstimator(dom, sigma, dt=cfg["dt"],
@@ -468,8 +479,11 @@ def suite_oracle(cfg, seed) -> SuiteReport:
             diff = abs(fd - mc.value)
             bound = 3.0 * mc.stderr
             rows.append([case["name"], json.dumps(probe), fd, mc.value, mc.stderr])
+            name = f"cross-oracle:{case['name']}:probe={j}"
+            probes[name] = {"mc_steps_used": mc.n_steps_used,
+                            "live_paths": mc.live_paths}
             rep.add(CheckRecord(
-                name=f"cross-oracle:{case['name']}:probe={j}",
+                name=name,
                 observed=diff, bound=bound, passed=diff <= bound,
                 inputs={"case": case["name"], "probe": probe,
                         "n_paths": cfg["n_paths"], "dt": cfg["dt"], "sigma": sigma},
@@ -478,6 +492,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
         "finite-difference vs killed-path Monte Carlo resolvent values",
         ["case", "probe", "fd_value", "mc_value", "mc_se"], rows,
     )
+    rep.profile.update(_solve_counters(sols), probes=probes)
     return rep
 
 

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oucontract
 from oucontract import cli, contract
 from oucontract.cli import (
     DEFAULT_CONFIGS,
@@ -184,15 +187,23 @@ class TestSharedSweeps:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
+        """The solutions of the contract module's solves, in call order."""
         calls = []
         orig = contract.solve_resolvent
 
         def counted(*args, **kwargs):
-            calls.append(args[0].sigma)
-            return orig(*args, **kwargs)
+            calls.append(orig(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(contract, "solve_resolvent", counted)
         return calls
+
+    @staticmethod
+    def solve_profile(sols, reused):
+        return {"linear_solves": len(sols),
+                "cg_iterations": sum(s.iterations for s in sols),
+                "unknowns": sum(s.diagnostics["n_unknowns"] for s in sols),
+                "solutions_reused": reused}
 
     @staticmethod
     def lemma_report(path):
@@ -220,10 +231,14 @@ class TestSharedSweeps:
         rep = suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
         # sigma -> 0 rides along: 2 + 3 solves, every one counted
         assert len(solve_calls) == rep.profile["linear_solves"] == 5
+        assert rep.profile == self.solve_profile(solve_calls, 0)
+        assert rep.profile["cg_iterations"] > 0
         assert len(cli._SOLVED_SWEEPS) == 2
         del solve_calls[:]
-        cli.suite_lemma(TWO_SWEEP_LEMMA_CFG, seed=5)
+        rep = cli.suite_lemma(TWO_SWEEP_LEMMA_CFG, seed=5)
         assert solve_calls == []
+        assert rep.profile == {"linear_solves": 0, "cg_iterations": 0,
+                               "unknowns": 0, "solutions_reused": 3}
         assert cli._SOLVED_SWEEPS == {}
 
     def test_other_sigmas_solve_again(self, solve_calls):
@@ -232,20 +247,62 @@ class TestSharedSweeps:
         cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": [{**half, "sigmas": [2.0]}, ball]}
         del solve_calls[:]
         rep = cli.suite_lemma(cfg, seed=5)
-        assert solve_calls == [2.0]
-        assert rep.profile == {"linear_solves": 1, "solutions_reused": 2}
+        assert [sol.sigma for sol in solve_calls] == [2.0]
+        assert rep.profile == self.solve_profile(solve_calls, 2)
         assert cli._SOLVED_SWEEPS == {}
 
     def test_other_solver_tol_solves_again(self, solve_calls):
         suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
         del solve_calls[:]
         rep = cli.suite_lemma({**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10}, seed=5)
-        assert sorted(solve_calls) == [0.1, 1.0, 1.0]
-        assert rep.profile == {"linear_solves": 3, "solutions_reused": 0}
+        assert sorted(sol.sigma for sol in solve_calls) == [0.1, 1.0, 1.0]
+        assert rep.profile == self.solve_profile(solve_calls, 0)
         # the contract's entries stay until the next contract run empties them
         assert len(cli._SOLVED_SWEEPS) == 2
         suite_contract({**TWO_SWEEP_CONTRACT_CFG, "sweeps": []}, seed=5)
         assert cli._SOLVED_SWEEPS == {}
+
+
+# one cheap halfline case: the oracle suite's profile, not its verdict
+SMALL_ORACLE_CFG = {
+    "n_paths": 500,
+    "dt": 1e-2,
+    "sigma": 0.4,
+    "cases": [{
+        "name": "halfline",
+        "domain": {"type": "halfspace", "dim": 1, "parameters": {"offset": 1.0}},
+        "grid": {"lo": -8.0, "hi": 8.0, "h": 0.05},
+        "bump": {"center": [-3.2], "radius": 1.0, "margin": 0.5},
+        "probes": [[-4.6], [-3.0]],
+    }],
+}
+
+
+class TestProfile:
+    def test_oracle_counters(self, tmp_path):
+        rep = run_suite("oracle", SMALL_ORACLE_CFG, tmp_path, seed=5)
+        profile = json.loads((tmp_path / "report.json").read_text())["profile"]
+        grid = GaussianGrid.build(build_domain(SMALL_ORACLE_CFG["cases"][0]["domain"]),
+                                  -8.0, 8.0, 0.05)
+        assert profile["linear_solves"] == 1
+        assert profile["unknowns"] == grid.n_interior
+        assert profile["cg_iterations"] > 0
+        n_steps = cli.KilledPathEstimator(None, 0.4, dt=1e-2).n_steps
+        assert list(profile["probes"]) == [r.name for r in rep.records]
+        for probe in profile["probes"].values():
+            assert 0 < probe["mc_steps_used"] <= n_steps
+            live = probe["live_paths"]
+            assert len(live) == 11 and live[0] == 500
+            assert all(a >= b for a, b in zip(live, live[1:]))
+
+    def test_cli_import_leaves_out_sparse_linalg(self):
+        # the solver owns its CG loop; scipy.sparse.linalg costs set-up time
+        src = str(Path(oucontract.__file__).resolve().parents[1])
+        code = ("import sys, oucontract.cli; "
+                "print('scipy.sparse.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestDomainBuilding:

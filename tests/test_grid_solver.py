@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import cg, spsolve
 
+import oucontract
 from oucontract import solver
+from oucontract.contract import make_bump
 from oucontract.domains import ball, halfspace
 from oucontract.gauss import hermite_poly
 from oucontract.grid import GaussianGrid, ScalarField, discrete_gradient
@@ -203,8 +210,9 @@ class TestSolve:
         rhs = ScalarField.from_callable(
             halfline_grid, lambda p: np.exp(-((p[:, 0] + 3) ** 2))
         )
-        sol = solve_resolvent(ResolventJob(halfline_grid, 10.0, rhs), tol=1e-12)
+        sol = solve_against_scipy(halfline_grid, 10.0, rhs, tol=1e-12)
         assert not sol.converged
+        assert sol.iterations == sol.diagnostics["cg_info"] == 3
         assert sol.u.values.shape == halfline_grid.shape
 
     def test_dirichlet_2d_solve_matches_direct_solve(self):
@@ -254,3 +262,73 @@ class TestSolve:
         header = csv_path.read_text().splitlines()[0]
         assert header == "x0,u,grad_norm"
         assert '"sigma": 1.0' in json_path.read_text()
+
+
+def solve_against_scipy(grid, sigma, rhs, tol=1e-10):
+    """solve_resolvent checked against scipy's cg on the same system.
+
+    The package's CG loop differs from scipy's only in the summation order
+    of its inner products, so the iteration counts and exit codes agree and
+    the solutions agree to round-off.
+    """
+    sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=tol)
+    op = assemble_ou_operator(grid, sigma)
+    b = rhs.flat()[op.interior_flat] * op.sqrt_w
+    iters = []
+    x, info = cg(op.matrix, b, rtol=tol, atol=0.0,
+                 maxiter=solver._iteration_budget(op.n_unknowns),
+                 callback=lambda xk: iters.append(1))
+    u_ref = np.zeros(grid.n_nodes)
+    u_ref[op.interior_flat] = x / op.sqrt_w
+    assert sol.iterations == len(iters)
+    assert sol.diagnostics["cg_info"] == info
+    assert sol.converged == (info == 0)
+    err = np.linalg.norm(sol.u.flat() - u_ref) / np.linalg.norm(u_ref)
+    assert err <= 1e-12
+    return sol
+
+
+class TestCgAgainstScipy:
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    def test_halfline(self, halfline_grid, sigma):
+        rhs = ScalarField.from_callable(
+            halfline_grid, lambda p: np.exp(-((p[:, 0] + 3) ** 2))
+        )
+        assert solve_against_scipy(halfline_grid, sigma, rhs).converged
+
+    def test_halfspace_2d(self):
+        # the halfspace(offset=1) sweep's solve at h = 0.1, sigma = 1, bump0
+        dom = halfspace(2, 1.0)
+        grid = GaussianGrid.build(dom, -8.0, 8.0, 0.1)
+        rhs = ScalarField.from_callable(grid, make_bump(dom, [-3.0, 0.0], 1.0, 0.5))
+        sol = solve_against_scipy(grid, 1.0, rhs)
+        assert sol.converged
+        assert sol.diagnostics["n_unknowns"] == 11270
+
+
+# TestCgAgainstScipy.test_halfspace_2d's solve: unknowns and sha256 of u
+_THREADED_SOLVE = """
+import hashlib
+from oucontract.contract import make_bump
+from oucontract.domains import halfspace
+from oucontract.grid import GaussianGrid, ScalarField
+from oucontract.solver import ResolventJob, solve_resolvent
+dom = halfspace(2, 1.0)
+grid = GaussianGrid.build(dom, -8.0, 8.0, 0.1)
+rhs = ScalarField.from_callable(grid, make_bump(dom, [-3.0, 0.0], 1.0, 0.5))
+sol = solve_resolvent(ResolventJob(grid, 1.0, rhs), tol=1e-10)
+print(sol.diagnostics["n_unknowns"], hashlib.sha256(sol.u.values.tobytes()).hexdigest())
+"""
+
+
+def test_solution_independent_of_blas_threads():
+    # the same solve in two processes whose OpenBLAS pools differ in size
+    src = str(Path(oucontract.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out.append(proc.stdout.split())
+    assert out[0][0] == "11270"
+    assert out[0] == out[1]
