@@ -7,10 +7,18 @@ of the solver (every function on the grid is the extension-by-zero of its
 interior part).  The per-node quadrature weight is theta_d(x) times the
 cell volume, which makes sums over node sets cell-sum approximations of
 Gaussian integrals over the corresponding region.
+
+Off-node values come from ``GaussianGrid.interpolator``, a multilinear
+interpolant written here: each coordinate picks the cell
+ax[i] <= x < ax[i+1], clamped to the last cell so the upper face is
+interpolated, and a point outside the box reads exactly 0.  It matches
+scipy's linear ``RegularGridInterpolator`` with fill value 0, so the
+package needs no scipy module beyond ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -123,16 +131,46 @@ class GaussianGrid:
         return w * cell
 
     def interpolator(self, values: np.ndarray):
-        """Multilinear interpolant of nodal values, 0 outside the box."""
-        from scipy.interpolate import RegularGridInterpolator
+        """Multilinear interpolant of nodal values, 0 outside the box.
 
-        return RegularGridInterpolator(
-            self.axes,
-            values.reshape(self.shape),
-            method="linear",
-            bounds_error=False,
-            fill_value=0.0,
-        )
+        Returns a callable on (k, dim) points giving k values.  Along each
+        axis a point falls in the cell i with ax[i] <= x < ax[i+1], clamped
+        to the last cell, so a point on the upper face is interpolated, not
+        filled; y = (x - ax[i]) / (ax[i+1] - ax[i]).  The 2^dim corner
+        terms v * w_0 * w_1 ... are summed from 0 in
+        ``itertools.product((0, 1), repeat=dim)`` order, which reproduces
+        scipy's linear ``RegularGridInterpolator`` bit for bit in one and
+        two dimensions.  A point with any coordinate outside [lo, hi] gives
+        exactly 0.
+        """
+        flat = np.asarray(values, dtype=float).reshape(-1)
+        strides = [math.prod(self.shape[a + 1:]) for a in range(self.dim)]
+        # searchsorted on the inner nodes gives the clamped cell index
+        cells = [(ax, ax[1:-1], np.diff(ax), s) for ax, s in zip(self.axes, strides)]
+        corners = [(c, sum(s for s, up in zip(strides, c) if up))
+                   for c in itertools.product((0, 1), repeat=self.dim)]
+        lo, hi = self.lo, self.hi  # the first and last node of each axis
+
+        def interp(points: np.ndarray) -> np.ndarray:
+            x = np.asarray(points, dtype=float)
+            base = np.zeros(x.shape[0], dtype=np.intp)
+            weights = []
+            for a, (ax, inner, width, stride) in enumerate(cells):
+                xa = x[:, a]
+                i = inner.searchsorted(xa, side="right")
+                y = (xa - ax[i]) / width[i]
+                base += i * stride
+                weights.append((1.0 - y, y))
+            out = np.zeros(x.shape[0])
+            for corner, offset in corners:
+                term = flat.take(base + offset)
+                for a, up in enumerate(corner):
+                    term *= weights[a][up]
+                out += term
+            out[((x < lo) | (x > hi)).any(axis=1)] = 0.0
+            return out
+
+        return interp
 
 
 @dataclass

@@ -15,10 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+def _canonical(obj) -> str:
+    """Sorted-key JSON of ``obj``; values JSON cannot hold (numpy ints) go as str."""
+    return json.dumps(obj, sort_keys=True, default=str)
+
+
 def digest(obj) -> str:
     """Stable short digest of a JSON-serializable object."""
-    blob = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -31,7 +35,8 @@ class CheckRecord:
     inputs: dict = field(default_factory=dict)
 
     def row(self) -> dict:
-        return {
+        """Payload row; an asserted record that fails also carries its inputs."""
+        row = {
             "name": self.name,
             "inputs_digest": digest(self.inputs),
             "observed": self.observed,
@@ -39,6 +44,9 @@ class CheckRecord:
             "pass": self.passed,
             "asserted": self.asserted,
         }
+        if self.asserted and not self.passed:
+            row["inputs"] = json.loads(_canonical(self.inputs))
+        return row
 
 
 @dataclass

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oucontract
@@ -17,7 +18,7 @@ from oucontract.cli import (
 )
 from oucontract.contract import contractivity_sweep, make_bump
 from oucontract.grid import GaussianGrid
-from oucontract.report import SuiteReport, Table, emit_plotdata
+from oucontract.report import CheckRecord, SuiteReport, Table, digest, emit_plotdata
 
 
 def small_curvature_cfg(radius, assert_flag=True, n_samples=24):
@@ -304,6 +305,33 @@ class TestProfile:
                               text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_interpolation_leaves_out_scipy_beyond_sparse(self):
+        # the grid interpolates by itself; scipy.interpolate would pull in
+        # optimize, special, linalg and spatial at about 0.5 s and 28 MB
+        src = str(Path(oucontract.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import json, sys",
+            "import numpy as np",
+            "import oucontract.cli as cli",
+            "from oucontract.grid import GaussianGrid",
+            "from oucontract.wiener import (rational_reference_spec,",
+            "                               resolvent_convergence_study)",
+            "rep = cli.suite_lemma(json.loads(sys.argv[1]), 3)",
+            "slopes = [r.observed for r in rep.records",
+            "          if r.name.startswith('boundary-normal-slope')]",
+            "assert slopes and 0.0 not in slopes  # probes were placed and read",
+            "resolvent_convergence_study(rational_reference_spec(), 1.0, [1], 3.2,",
+            "                            1.0, 6.0, 0.3, 8, 1e-9)",
+            "grid = GaussianGrid.build(None, -1.0, 1.0, 0.5, dim=3)",
+            "grid.interpolator(np.ones(grid.shape))(np.zeros((2, 3)))",
+            "print(json.dumps(sorted(m for m in ('scipy.interpolate', 'scipy.optimize',",
+            "    'scipy.special', 'scipy.linalg', 'scipy.spatial') if m in sys.modules)))",
+        ])
+        cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": TWO_SWEEP_LEMMA_CFG["sweeps"][1:]}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)], cwd=src,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout) == []
+
 
 class TestDomainBuilding:
     def test_epigraph_domain_from_config(self, tmp_path):
@@ -336,6 +364,17 @@ class TestDomainBuilding:
 
 
 class TestReports:
+    def test_only_failing_asserted_rows_carry_inputs(self):
+        inputs = {"n": np.int64(3), "x": np.float64(0.5), "pts": (1, 2)}
+        rows = [CheckRecord("r", 1.0, 0.0, passed, asserted, inputs).row()
+                for passed, asserted in ((True, True), (False, False), (False, True))]
+        assert ["inputs" in row for row in rows] == [False, False, True]
+        assert set(rows[0]) == {"name", "inputs_digest", "observed", "bound", "pass",
+                                "asserted"}
+        failing = json.loads(json.dumps(rows[2]))  # numpy scalars serialize
+        assert failing["inputs"] == {"n": "3", "x": 0.5, "pts": [1, 2]}
+        assert digest(failing["inputs"]) == failing["inputs_digest"]
+
     def test_report_written_with_records(self, tmp_path):
         rep = run_suite("curvature", small_curvature_cfg(0.9), tmp_path, seed=3)
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -420,6 +459,16 @@ class TestShippedConfigs:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "curvature-nonnegative" in capsys.readouterr().err
+
+    def test_negative_control_failing_record_carries_inputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["curvature", "--config", str(CONFIG_DIR / NEGATIVE_CONTROL),
+                     "--out", str(out)]) == 1
+        rows = json.loads((out / "report.json").read_text())["payload"]["records"]
+        (row,) = [r for r in rows if r["name"].startswith("curvature-nonnegative")]
+        assert row["asserted"] and not row["pass"]
+        assert row["inputs"]["domain"]["parameters"] == {"radius": 1.5}
+        assert digest(row["inputs"]) == row["inputs_digest"]
 
     def test_every_config_file_is_covered(self):
         covered = {f"{suite}.json" for suite in DEFAULT_CONFIGS} | {NEGATIVE_CONTROL}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import cg, spsolve
 
 import oucontract
@@ -58,6 +59,70 @@ class TestGrid:
         n1 = int(np.sum(grid.eroded_interior(1)))
         n2 = int(np.sum(grid.eroded_interior(2)))
         assert n0 > n1 > n2 > 0
+
+
+# (lo, hi, h) per grid; "2d-rect" has a per-axis h on a non-square box
+_INTERP_GRIDS = {
+    "1d": (-2.0, 3.0, 0.1),
+    "2d-rect": ([-2.0, -1.0], [3.0, 1.5], [0.13, 0.07]),
+    "3d": ([-1.0, -0.5, 0.0], [1.0, 1.0, 0.8], [0.2, 0.25, 0.1]),
+}
+
+
+class TestInterpolatorAgainstScipy:
+    """The grid's own interpolant against scipy's linear RegularGridInterpolator."""
+
+    @staticmethod
+    def build(name):
+        lo, hi, h = _INTERP_GRIDS[name]
+        grid = GaussianGrid.build(None, lo, hi, h, dim=len(np.atleast_1d(lo)))
+        values = np.random.default_rng(7).standard_normal(grid.shape)
+        ref = RegularGridInterpolator(grid.axes, values, method="linear",
+                                      bounds_error=False, fill_value=0.0)
+        return grid, values, ref
+
+    @staticmethod
+    def inside_points(grid):
+        """Nodes, cell interiors, and the lower and upper faces of each axis."""
+        rng = np.random.default_rng(11)
+        cells = rng.uniform(grid.lo, grid.hi, size=(300, grid.dim))
+        faces = []
+        for a in range(grid.dim):
+            for edge in (grid.lo[a], grid.hi[a]):
+                p = cells[:25].copy()
+                p[:, a] = edge
+                faces.append(p)
+        return np.vstack([grid.node_coordinates(), cells, *faces, [grid.lo], [grid.hi]])
+
+    @pytest.mark.parametrize("name", sorted(_INTERP_GRIDS))
+    def test_inside_the_box(self, name):
+        grid, values, ref = self.build(name)
+        pts = self.inside_points(grid)
+        ours = grid.interpolator(values)(pts)
+        want = ref(pts)
+        if grid.dim <= 2:
+            assert np.array_equal(ours, want)
+        else:
+            tol = 4 * np.spacing(np.max(np.abs(values)))
+            assert np.max(np.abs(ours - want)) <= tol
+        assert np.array_equal(ours[:grid.n_nodes], values.reshape(-1))
+
+    @pytest.mark.parametrize("name", sorted(_INTERP_GRIDS))
+    def test_outside_along_each_axis_is_zero(self, name):
+        grid, values, ref = self.build(name)
+        inner = np.random.default_rng(13).uniform(grid.lo, grid.hi, size=(10, grid.dim))
+        pts = []
+        for a in range(grid.dim):
+            lo, hi = grid.lo[a], grid.hi[a]
+            for beyond in (lo - 0.1, np.nextafter(lo, -np.inf),
+                           np.nextafter(hi, np.inf), hi + 0.1):
+                p = inner.copy()
+                p[:, a] = beyond
+                pts.append(p)
+        pts = np.vstack(pts)
+        ours = grid.interpolator(values)(pts)
+        assert np.all(ours == 0.0)
+        assert np.array_equal(ours, ref(pts))
 
 
 class TestDiscreteGradient:
