@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import astuple, fields
@@ -606,6 +607,13 @@ _SUITES = {
 
 
 def run_suite(name, config, out_dir, seed) -> SuiteReport:
+    """Run one suite and write its report and plot data to ``out_dir``.
+
+    The profile gets ``wall_s``, the suite's wall time, and ``peak_rss_mb``,
+    the process's peak resident memory (``ru_maxrss``) when the suite ends:
+    the peak of the whole process so far, so under ``all`` it covers the
+    suites that ran before this one too.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -614,6 +622,7 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
     else:
         rep = _SUITES[name](config, seed)
     rep.profile["wall_s"] = time.perf_counter() - t0
+    rep.profile["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
     emit_plotdata(rep, out)

@@ -67,17 +67,28 @@ class BumpFunction:
             raise ValueError("radius must be positive")
 
     def _u(self, x: np.ndarray) -> np.ndarray:
+        """1 - |x - c|^2/r^2, the squared distance summed column by column."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        rho2 = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
-        return 1.0 - rho2
+        rho2 = (x[..., 0] - self.center[0]) ** 2
+        for a in range(1, self.center.size):
+            col = x[..., a] - self.center[a]
+            col *= col
+            rho2 += col
+        rho2 /= self.radius**2
+        return np.subtract(1.0, rho2, out=rho2)
 
     def __call__(self, x) -> np.ndarray:
+        """y at each point.
+
+        exp runs on the support only: well outside it 1 - 1/u falls below
+        -745, where numpy's exp is about ten times slower.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         u = self._u(x)
         out = np.zeros_like(u)
-        inside = u > _SUPPORT_FLOOR
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / u[inside])
+        idx = np.flatnonzero(u > _SUPPORT_FLOOR)
+        out.put(idx, self.amplitude * np.exp(1.0 - 1.0 / u.take(idx)))
         return float(out[0]) if single else out
 
     def gradient(self, x) -> np.ndarray:
@@ -261,36 +272,33 @@ def boundary_probes(
     whose interpolation cells are fully interior; samples whose projection
     fails or that have no such probes inside the grid are skipped and
     counted.  The probes depend on the grid and domain only, so one set
-    serves every solution on the grid.
+    serves every solution on the grid.  Every candidate pair of every
+    sample goes through the mask interpolant in one call.
     """
-    mask_interp = grid.interpolator(grid.interior.astype(float))
     diag = float(np.linalg.norm(grid.h))
+    t1 = np.array([1.5, 2.0, 3.0, 4.0, 6.0]) * diag
+    t2 = t1 + 2.0 * diag
     rng = np.random.default_rng(seed)
-    p1s, p2s, dts = [], [], []
-    n_skipped = 0
+    xs, nus = [], []
     for _ in range(n_samples):
         try:
             bp = project_to_boundary(domain, rng.standard_normal(grid.dim))
         except ProjectionError:
-            n_skipped += 1
             continue
-        for mult in (1.5, 2.0, 3.0, 4.0, 6.0):
-            t1 = mult * diag
-            t2 = t1 + 2.0 * diag
-            p1 = bp.x - t1 * bp.nu
-            p2 = bp.x - t2 * bp.nu
-            if (
-                mask_interp(p1[None, :])[0] > 1.0 - 1e-12
-                and mask_interp(p2[None, :])[0] > 1.0 - 1e-12
-            ):
-                p1s.append(p1)
-                p2s.append(p2)
-                dts.append(t2 - t1)
-                break
-        else:
-            n_skipped += 1
-    return BoundaryProbes(np.array(p1s).reshape(-1, grid.dim),
-                          np.array(p2s).reshape(-1, grid.dim), np.array(dts), n_skipped)
+        xs.append(bp.x)
+        nus.append(bp.nu)
+    x = np.array(xs).reshape(-1, 1, grid.dim)
+    nu = np.array(nus).reshape(-1, 1, grid.dim)
+    p1 = x - t1[:, None] * nu  # (samples, multiples, dim)
+    p2 = x - t2[:, None] * nu
+    mask_interp = grid.interpolator(grid.interior.astype(float))
+    inside = mask_interp(np.concatenate([p1, p2], axis=1).reshape(-1, grid.dim))
+    inside = inside.reshape(len(xs), 2, t1.size) > 1.0 - 1e-12
+    both = inside[:, 0] & inside[:, 1]
+    rows = np.flatnonzero(both.any(axis=1))
+    first = both[rows].argmax(axis=1)  # the smallest multiple that passes
+    return BoundaryProbes(p1[rows, first], p2[rows, first], (t2 - t1)[first],
+                          n_samples - rows.size)
 
 
 def check_boundary_normal_slope(

@@ -204,6 +204,21 @@ def validate_functional(spec: FunctionalSpec) -> ValidationReport:
     return ValidationReport(not failures, failures, witness)
 
 
+def _horner(x, c):
+    """sum_k c[k] x^k by Horner's rule in one buffer.
+
+    For finite x (and a leading coefficient other than -0.0) this is bit
+    for bit ``np.polynomial.polynomial.polyval``, without a temporary array
+    per coefficient; a scalar x gives a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, c[-1])
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out[()]
+
+
 def _rational_funcs(num, den):
     """g = P/Q with g' and g'' by the quotient rule.
 
@@ -212,31 +227,29 @@ def _rational_funcs(num, den):
     """
     p = np.asarray(num, dtype=float)
     q = np.asarray(den, dtype=float)
-    pv = np.polynomial.polynomial.polyval
     der = np.polynomial.polynomial.polyder
     if q.size == 1:
         c0 = p / q[0]
         c1, c2 = der(c0), der(c0, 2)
-        return (lambda x: pv(np.asarray(x, dtype=float), c0),
-                lambda x: pv(np.asarray(x, dtype=float), c1),
-                lambda x: pv(np.asarray(x, dtype=float), c2))
+        return (lambda x: _horner(x, c0), lambda x: _horner(x, c1),
+                lambda x: _horner(x, c2))
     p1, p2 = der(p), der(p, 2)
     q1, q2 = der(q), der(q, 2)
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        return pv(x, p) / pv(x, q)
+        return _horner(x, p) / _horner(x, q)
 
     def gp(x):
         x = np.asarray(x, dtype=float)
-        P, Q = pv(x, p), pv(x, q)
-        return (pv(x, p1) * Q - P * pv(x, q1)) / Q**2
+        P, Q = _horner(x, p), _horner(x, q)
+        return (_horner(x, p1) * Q - P * _horner(x, q1)) / Q**2
 
     def gpp(x):
         x = np.asarray(x, dtype=float)
-        P, Q = pv(x, p), pv(x, q)
-        Pp, Qp = pv(x, p1), pv(x, q1)
-        Ppp, Qpp = pv(x, p2), pv(x, q2)
+        P, Q = _horner(x, p), _horner(x, q)
+        Pp, Qp = _horner(x, p1), _horner(x, q1)
+        Ppp, Qpp = _horner(x, p2), _horner(x, q2)
         return (Ppp * Q * Q - 2.0 * Pp * Qp * Q + 2.0 * P * Qp * Qp - P * Qpp * Q) / Q**3
 
     return g, gp, gpp

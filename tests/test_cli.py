@@ -227,6 +227,8 @@ class TestSharedSweeps:
         assert shared_doc["profile"]["linear_solves"] == 0
         assert shared_doc["profile"]["solutions_reused"] == 3
         assert shared_doc["profile"]["wall_s"] > 0.0
+        # ru_maxrss of the whole process: it never falls between suites
+        assert shared_doc["profile"]["peak_rss_mb"] >= alone_doc["profile"]["peak_rss_mb"] > 0.0
 
     def test_no_solve_after_contract_and_store_emptied(self, solve_calls):
         rep = suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
@@ -283,6 +285,9 @@ class TestProfile:
     def test_oracle_counters(self, tmp_path):
         rep = run_suite("oracle", SMALL_ORACLE_CFG, tmp_path, seed=5)
         profile = json.loads((tmp_path / "report.json").read_text())["profile"]
+        assert set(profile) == {"linear_solves", "cg_iterations", "unknowns", "probes",
+                                "wall_s", "peak_rss_mb"}
+        assert profile == rep.profile
         grid = GaussianGrid.build(build_domain(SMALL_ORACLE_CFG["cases"][0]["domain"]),
                                   -8.0, 8.0, 0.05)
         assert profile["linear_solves"] == 1

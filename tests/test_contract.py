@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oucontract.contract import (
+    _SUPPORT_FLOOR,
+    BoundaryProbes,
     BumpFunction,
     boundary_flux_integral,
     boundary_probes,
@@ -14,9 +16,24 @@ from oucontract.contract import (
     gradient_magnitude_fields,
     make_bump,
 )
-from oucontract.domains import ball, halfspace
+from oucontract.domains import (
+    LevelSetDomain,
+    ProjectionError,
+    ball,
+    halfspace,
+    project_to_boundary,
+)
 from oucontract.grid import GaussianGrid, ScalarField
 from oucontract.solver import ResolventJob, solve_resolvent
+
+
+def _holed_disk_level(x):
+    x = np.asarray(x, dtype=float)
+    return (1.0 - np.sum(x * x, axis=-1)) * (0.04 - np.sum((x - [0.0, 0.7]) ** 2, axis=-1))
+
+
+# the unit disk less the disk of radius 0.2 about (0, 0.7): not convex
+HOLED_DISK = LevelSetDomain(2, _holed_disk_level, name="holed-disk")
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +62,33 @@ class TestBump:
         vals = b(pts)
         assert vals[0] == 0.0 and vals[1] == 0.0
         assert vals[2] > 0.0
+
+    @staticmethod
+    def reference_values(b, x):
+        """The bump by its formula over all points with a boolean mask."""
+        u = 1.0 - np.sum((np.atleast_2d(x) - b.center) ** 2, axis=-1) / b.radius**2
+        out = np.zeros_like(u)
+        inside = u > _SUPPORT_FLOOR
+        out[inside] = b.amplitude * np.exp(1.0 - 1.0 / u[inside])
+        return out
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_values_bitwise_equal_to_formula(self, dim, order):
+        rng = np.random.default_rng(dim)
+        b = BumpFunction(rng.uniform(-1, 1, dim), 0.7, amplitude=-1.7)
+        pts = b.center + rng.uniform(-1.0, 1.0, (4000, dim))
+        # points on the support edge u = floor and just inside it
+        for scale in (1.0, 1.0 - 1e-9):
+            dirs = rng.standard_normal((50, dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            r_edge = b.radius * np.sqrt(1.0 - _SUPPORT_FLOOR) * scale
+            pts = np.vstack([pts, b.center + r_edge * dirs])
+        pts = np.asarray(pts, order=order)
+        got, want = b(pts), self.reference_values(b, pts)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got < 0.0) and np.any(got == 0.0)
+        assert b(pts[7]) == float(want[7])
 
     def test_gradient_matches_finite_differences(self):
         b = BumpFunction(np.array([0.3, -0.2]), 0.8)
@@ -183,6 +227,50 @@ class TestBoundaryChecks:
         assert rep.max_slope == max(ref)
         assert rep.violations == [(i, s - tol) for i, s in enumerate(ref) if s > tol]
         assert rep.violations
+
+    @staticmethod
+    def one_point_probes(grid, domain, n_samples, seed):
+        """Probe pairs found with one interpolant call per candidate point."""
+        mask_interp = grid.interpolator(grid.interior.astype(float))
+        diag = float(np.linalg.norm(grid.h))
+        rng = np.random.default_rng(seed)
+        p1s, p2s, dts, n_skipped = [], [], [], 0
+        for _ in range(n_samples):
+            try:
+                bp = project_to_boundary(domain, rng.standard_normal(grid.dim))
+            except ProjectionError:
+                n_skipped += 1
+                continue
+            for mult in (1.5, 2.0, 3.0, 4.0, 6.0):
+                t1 = mult * diag
+                t2 = t1 + 2.0 * diag
+                p1, p2 = bp.x - t1 * bp.nu, bp.x - t2 * bp.nu
+                if (mask_interp(p1[None, :])[0] > 1.0 - 1e-12
+                        and mask_interp(p2[None, :])[0] > 1.0 - 1e-12):
+                    p1s.append(p1)
+                    p2s.append(p2)
+                    dts.append(t2 - t1)
+                    break
+            else:
+                n_skipped += 1
+        return BoundaryProbes(np.array(p1s).reshape(-1, grid.dim),
+                              np.array(p2s).reshape(-1, grid.dim), np.array(dts), n_skipped)
+
+    @pytest.mark.parametrize("case", ["halfline", "disk", "holed-disk", "ball-3d"])
+    def test_probes_equal_one_point_search(self, case):
+        dom, grid = {
+            "halfline": lambda: (halfspace(1, 1.0),
+                                 GaussianGrid.build(halfspace(1, 1.0), -8, 8, 0.02)),
+            "disk": lambda: (ball(2, 1.0), GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.05)),
+            # rays through the hole need a larger multiple or find none
+            "holed-disk": lambda: (HOLED_DISK, GaussianGrid.build(HOLED_DISK, -1.2, 1.2, 0.05)),
+            "ball-3d": lambda: (ball(3, 1.0), GaussianGrid.build(ball(3, 1.0), -1.3, 1.3, 0.1)),
+        }[case]()
+        got = boundary_probes(grid, dom, 30, 4)
+        want = self.one_point_probes(grid, dom, 30, 4)
+        assert got.n_skipped == want.n_skipped
+        for a, b in ((got.p1, want.p1), (got.p2, want.p2), (got.dt, want.dt)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_slope_with_no_checked_point_fails(self):
         # no seed-0 boundary point of the small ball has a fully interior

@@ -1,10 +1,13 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import cg, spsolve
 
@@ -13,7 +16,7 @@ from oucontract import solver
 from oucontract.contract import make_bump
 from oucontract.domains import ball, halfspace
 from oucontract.gauss import hermite_poly
-from oucontract.grid import GaussianGrid, ScalarField, discrete_gradient
+from oucontract.grid import GaussianGrid, ScalarField, _shifted, discrete_gradient
 from oucontract.solver import (
     ResolventJob,
     assemble_ou_operator,
@@ -188,6 +191,77 @@ class TestAssembly:
     def test_negative_sigma_rejected(self, halfline_grid):
         with pytest.raises(ValueError):
             assemble_ou_operator(halfline_grid, -1.0)
+
+
+def coo_reference_matrix(grid, sigma):
+    """The operator as COO triplets summed into CSR by scipy, axis by axis."""
+    interior = grid.interior
+    flat_int = np.flatnonzero(interior.reshape(-1))
+    unknown_of = -np.ones(grid.n_nodes, dtype=np.int64)
+    unknown_of[flat_int] = np.arange(flat_int.size)
+    diag = np.ones(flat_int.size)
+    rows, cols, vals = [], [], []
+    for a in range(grid.dim):
+        h = grid.h[a]
+        up, dn = solver._axis_face_ratios(grid, a)
+        view = [None] * grid.dim
+        view[a] = slice(None)
+        up_b = np.broadcast_to(up[tuple(view)], grid.shape)
+        dn_b = np.broadcast_to(dn[tuple(view)], grid.shape)
+        diag += sigma * (up_b.reshape(-1)[flat_int] + dn_b.reshape(-1)[flat_int]) / h**2
+        src = np.flatnonzero((interior & _shifted(interior, a, +1, fill=False)).reshape(-1))
+        if src.size:
+            dst = src + int(np.prod(grid.shape[a + 1:]))
+            coef = -sigma * math.exp(h * h / 8.0) / h**2
+            rows += [unknown_of[src], unknown_of[dst]]
+            cols += [unknown_of[dst], unknown_of[src]]
+            vals += [np.full(src.size, coef)] * 2
+    m = flat_int.size
+    return sp.csr_matrix(
+        (np.concatenate(vals + [diag]),
+         (np.concatenate(rows + [np.arange(m)]), np.concatenate(cols + [np.arange(m)]))),
+        shape=(m, m),
+    )
+
+
+ASSEMBLY_GRIDS = {
+    # the halfspaces' interiors reach the box edge
+    "halfline": lambda: GaussianGrid.build(halfspace(1, 1.0), -8, 8, 0.02),
+    "halfplane": lambda: GaussianGrid.build(halfspace(2, 0.5), -3, 3, [0.1, 0.15]),
+    "disk": lambda: GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.1),
+    "ball-3d": lambda: GaussianGrid.build(ball(3, 1.0), -1.3, 1.3, 0.1),
+    "whole-space-3d": lambda: GaussianGrid.build(None, -2, 2, 0.25, dim=3),
+}
+
+
+class TestCsrAssembly:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4, 1.0])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRIDS))
+    def test_bitwise_equal_to_coo_construction(self, name, sigma):
+        grid = ASSEMBLY_GRIDS[name]()
+        mat = assemble_ou_operator(grid, sigma).matrix
+        ref = coo_reference_matrix(grid, sigma)
+        assert mat.has_sorted_indices
+        for got, want in ((mat.indptr, ref.indptr), (mat.indices, ref.indices),
+                          (mat.data, ref.data)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 couplings at sigma = 0 too
+
+    def test_assembly_transient_within_bound(self):
+        # the COO construction's row, column and value lists, their
+        # concatenation and the conversion peaked at 5.3x the result here
+        grid = GaussianGrid.build(ball(3, 4.0), -6, 6, 0.2)
+        assert grid.shape == (61, 61, 61)
+        tracemalloc.start()
+        try:
+            op = assemble_ou_operator(grid, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mat = op.matrix
+        kept = sum(a.nbytes for a in (mat.data, mat.indices, mat.indptr,
+                                      op.sqrt_w, op.interior_flat))
+        assert peak <= 3.5 * kept, peak / kept
 
 
 class TestOuApply:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oucontract import wiener
 from oucontract.wiener import (
     BM,
     BRIDGE,
@@ -147,6 +148,34 @@ class TestFunctionalValidation:
         gpp_fd = (spec.g(xi + h) - 2 * spec.g(xi) + spec.g(xi - h)) / h**2
         assert np.max(np.abs(spec.gp(xi) - gp_fd)) < 1e-8
         assert np.max(np.abs(spec.gpp(xi) - gpp_fd)) < 1e-4
+
+
+SHIPPED_SPECS = {
+    "affine": lambda: affine_level_spec(),
+    "reference_bm": lambda: rational_reference_spec(kind=BM),
+    "poly-dict": lambda: functional_spec_from_dict({
+        "g": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.01]},
+        "c": 0.5, "alpha1": 1.0, "alpha2": 1.0, "beta1": -1.0, "beta2": 1.0,
+        "r": -2.0, "gpp_sup": 2.0,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))
+def test_horner_gives_the_bits_of_polyval(name, monkeypatch):
+    spec = SHIPPED_SPECS[name]()
+    xi = np.arange(wiener._VALIDATION_LO, wiener._VALIDATION_HI + 0.5 * wiener._VALIDATION_STEP,
+                   wiener._VALIDATION_STEP)
+    rng = np.random.default_rng(3)
+    paths = KLBasis.build(BM, 4).paths(3.0 * rng.standard_normal((64, 4)))
+    inputs = (xi, paths, -0.37, np.float64(2.5))
+    funcs = (spec.g, spec.gp, spec.gpp)
+    got = [f(x) for x in inputs for f in funcs]
+    monkeypatch.setattr(wiener, "_horner", np.polynomial.polynomial.polyval)
+    want = [f(x) for x in inputs for f in funcs]
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestCylindricalDomain:
