@@ -83,6 +83,14 @@ class LevelSetDomain:
     differences with steps sqrt(eps)*(1+|x|) and cbrt(eps)*(1+|x|).
     ``grad_floor`` is the declared lower bound on |grad G| near the
     boundary; curvature evaluation refuses to divide by less.
+
+    ``monotone_axis`` asserts that G is strictly monotone along that
+    coordinate on all of R^d, increasing or decreasing, so every line
+    parallel to the axis crosses the boundary at most once; grid
+    classification then bisects along the axis instead of evaluating G at
+    every node.  ``halfspace`` sets its axis, ``epigraph`` and
+    ``wiener.cylindrical_domain`` set 0; every other constructor, and
+    ``rotated``, leaves it None, which means no such claim.
     """
 
     dim: int
@@ -91,6 +99,11 @@ class LevelSetDomain:
     hess: Callable | None = None
     grad_floor: float = 1e-8
     name: str = "custom"
+    monotone_axis: int | None = None
+
+    def __post_init__(self):
+        if self.monotone_axis is not None and not 0 <= self.monotone_axis < self.dim:
+            raise ValueError(f"monotone_axis {self.monotone_axis} outside 0..{self.dim - 1}")
 
     def value(self, x) -> np.ndarray | float:
         arr = np.asarray(x, dtype=float)
@@ -294,7 +307,7 @@ def halfspace(dim: int, offset: float, axis: int = 0) -> LevelSetDomain:
         return np.zeros((dim, dim))
 
     return LevelSetDomain(dim, g, grad, hess, grad_floor=0.5,
-                          name=f"halfspace(offset={offset})")
+                          name=f"halfspace(offset={offset})", monotone_axis=axis)
 
 
 def ball(dim: int, radius: float, center=None) -> LevelSetDomain:
@@ -360,7 +373,8 @@ def epigraph(dim: int, phi, phi_grad, phi_hess, grad_floor: float = 0.5,
         out[1:, 1:] = np.asarray(phi_hess(x[1:]), dtype=float)
         return out
 
-    return LevelSetDomain(dim, g, grad, hess, grad_floor=grad_floor, name=name)
+    return LevelSetDomain(dim, g, grad, hess, grad_floor=grad_floor, name=name,
+                          monotone_axis=0)
 
 
 def polynomial_domain(dim: int, terms) -> LevelSetDomain:

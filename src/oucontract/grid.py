@@ -1,10 +1,19 @@
 """Tensor-product grids with per-node Gaussian weights and Dirichlet masks.
 
 Nodes are classified against a level-set domain: interior where G < 0,
-exterior where G >= 0.  Virtual neighbors beyond the box edge count as
-exterior with value 0, consistent with the staircase Dirichlet treatment
-of the solver (every function on the grid is the extension-by-zero of its
-interior part).  The per-node quadrature weight is theta_d(x) times the
+exterior where G >= 0.  A domain that declares ``monotone_axis`` (G strictly
+monotone along that coordinate on all of R^d: halfspaces, epigraphs and
+cylindrical truncations) is classified line by line along the axis: both
+end nodes of every line are evaluated, a line whose ends agree lies wholly
+on their side, and each other line is bisected for its one sign change, one
+batch per round holding one node per open line.  That takes at most
+lines * (ceil(log2 N) + 2) evaluations of G instead of one per node, at the
+same node coordinates and with the same ``G < 0`` test, so the mask is the
+same.  Any other domain is evaluated at every node, in chunks.
+
+Virtual neighbors beyond the box edge count as exterior with value 0,
+consistent with the staircase Dirichlet treatment of the solver (every
+function on the grid is the extension-by-zero of its interior part).  The per-node quadrature weight is theta_d(x) times the
 cell volume, which makes sums over node sets cell-sum approximations of
 Gaussian integrals over the corresponding region.
 
@@ -73,6 +82,8 @@ class GaussianGrid:
 
     @staticmethod
     def _classify(domain: LevelSetDomain, axes, shape) -> np.ndarray:
+        if domain.monotone_axis is not None:
+            return _classify_monotone(domain, axes, shape)
         n = int(np.prod(shape))
         out = np.empty(n, dtype=bool)
         for start in range(0, n, _CLASSIFY_CHUNK):
@@ -173,6 +184,60 @@ class GaussianGrid:
         return interp
 
 
+def _classify_monotone(domain: LevelSetDomain, axes, shape) -> np.ndarray:
+    """Interior mask of a domain whose G is strictly monotone along one axis.
+
+    Each line parallel to ``domain.monotone_axis`` holds at most one sign
+    change, so its interior nodes form a run at one end.  Both end nodes of
+    every line are evaluated; the lines whose ends differ are bisected
+    together, one node per open line per round, for the first node
+    classified like the last.  Whether G rises or falls along the axis
+    needs no declaration.
+    """
+    a = domain.monotone_axis
+    n_a = shape[a]
+    cross = [b for b in range(len(shape)) if b != a]
+    line_shape = tuple(shape[b] for b in cross)
+    n_lines = math.prod(line_shape)
+    # each line's index on the transverse axes; a 1-D grid is one line
+    multi = np.unravel_index(np.arange(n_lines), line_shape) if cross else ()
+
+    def inside(lines, i):
+        pts = np.empty((lines.size, len(shape)))
+        for b, mb in zip(cross, multi):
+            pts[:, b] = axes[b][mb[lines]]
+        pts[:, a] = axes[a][i]
+        return np.asarray(domain.value(pts)) < 0.0
+
+    every = np.arange(n_lines)
+    ends = inside(np.concatenate([every, every]), np.repeat([0, n_a - 1], n_lines))
+    first = ends[:n_lines]
+    # split: each line's first node classified like its last, n_a if the ends agree
+    split = np.full(n_lines, n_a)
+    lines = np.flatnonzero(first != ends[n_lines:])
+    lo = np.zeros(lines.size, dtype=np.intp)
+    hi = np.full(lines.size, n_a - 1)
+    while True:
+        done = hi - lo == 1
+        split[lines[done]] = hi[done]
+        lines, lo, hi = lines[~done], lo[~done], hi[~done]
+        if not lines.size:
+            break
+        mid = (lo + hi) // 2
+        like_first = inside(lines, mid) == first[lines]
+        lo = np.where(like_first, mid, lo)
+        hi = np.where(like_first, hi, mid)
+
+    # node i of a line is interior iff (i < split) == first, written in C order
+    along = [1] * len(shape)
+    along[a] = n_a
+    out = np.empty(shape, dtype=bool)
+    np.less(np.arange(n_a).reshape(along), np.expand_dims(split.reshape(line_shape), a),
+            out=out)
+    np.equal(out, np.expand_dims(first.reshape(line_shape), a), out=out)
+    return out
+
+
 @dataclass
 class ScalarField:
     """Nodal values on a grid, pinned to exactly 0 on exterior nodes."""
@@ -186,11 +251,13 @@ class ScalarField:
 
     @classmethod
     def from_callable(cls, grid: GaussianGrid, f) -> "ScalarField":
+        """f on the interior nodes, given as (k, dim) points in flat order."""
         vals = np.zeros(grid.n_nodes)
-        flat_interior = grid.interior.reshape(-1)
-        pts = grid.node_coordinates()[flat_interior]
-        if pts.shape[0]:
-            vals[flat_interior] = np.asarray(f(pts), dtype=float)
+        flat_int = np.flatnonzero(grid.interior)
+        if flat_int.size:
+            multi = np.unravel_index(flat_int, grid.shape)
+            pts = np.column_stack([ax[i] for ax, i in zip(grid.axes, multi)])
+            vals[flat_int] = np.asarray(f(pts), dtype=float)
         return cls(grid, vals.reshape(grid.shape))
 
     @classmethod
@@ -207,16 +274,21 @@ class ScalarField:
 def _shifted(values: np.ndarray, axis: int, step: int, fill=0.0) -> np.ndarray:
     """values at node + step*e_axis, zero-filled past the box edge."""
     out = np.full_like(values, fill)
-    sl_to = [slice(None)] * values.ndim
-    sl_from = [slice(None)] * values.ndim
     if step == 1:
-        sl_to[axis], sl_from[axis] = slice(0, -1), slice(1, None)
+        to, src = slice(0, -1), slice(1, None)
     elif step == -1:
-        sl_to[axis], sl_from[axis] = slice(1, None), slice(0, -1)
+        to, src = slice(1, None), slice(0, -1)
     else:
         raise ValueError("step must be +-1")
-    out[tuple(sl_to)] = values[tuple(sl_from)]
+    out[_along(values.ndim, axis, to)] = values[_along(values.ndim, axis, src)]
     return out
+
+
+def _along(ndim: int, axis: int, sl: slice) -> tuple:
+    """Index that applies ``sl`` on one axis and takes every other axis whole."""
+    index = [slice(None)] * ndim
+    index[axis] = sl
+    return tuple(index)
 
 
 def discrete_gradient(field: ScalarField) -> np.ndarray:
@@ -224,7 +296,10 @@ def discrete_gradient(field: ScalarField) -> np.ndarray:
 
     Central differences where both axis neighbors are interior; one-sided
     differences against the pinned zero where a neighbor is exterior (or
-    past the box edge).  Exterior nodes carry gradient 0.
+    past the box edge).  Exterior nodes, and interior nodes with both
+    neighbors exterior (the symmetric difference of two zeros), carry
+    gradient 0.  Each component is written straight into the result from
+    views of u, so the only node-sized temporaries are boolean masks.
     """
     grid = field.grid
     u = field.values
@@ -232,18 +307,22 @@ def discrete_gradient(field: ScalarField) -> np.ndarray:
     out = np.zeros(grid.shape + (grid.dim,))
     for a in range(grid.dim):
         h = grid.h[a]
-        u_up = _shifted(u, a, +1)
-        u_dn = _shifted(u, a, -1)
-        int_up = _shifted(interior, a, +1, fill=False)
-        int_dn = _shifted(interior, a, -1, fill=False)
-        central = int_up & int_dn
-        comp = np.zeros(grid.shape)
-        comp[central] = (u_up[central] - u_dn[central]) / (2.0 * h)
-        up_only = int_up & ~int_dn      # lower neighbor pinned to 0
-        comp[up_only] = (u[up_only] - 0.0) / h
-        dn_only = ~int_up & int_dn      # upper neighbor pinned to 0
-        comp[dn_only] = (0.0 - u[dn_only]) / h
-        # both neighbors exterior: symmetric difference of two zeros
-        comp[~interior] = 0.0
-        out[..., a] = comp
+        comp = out[..., a]
+        up = _shifted(interior, a, +1, fill=False)
+        up &= interior
+        dn = _shifted(interior, a, -1, fill=False)
+        dn &= interior
+        central = up & dn
+        up ^= central                   # lower neighbor pinned to 0
+        dn ^= central                   # upper neighbor pinned to 0
+        # a central node has both neighbors, so it is never on the box edge
+        mid, above, below = (_along(grid.dim, a, s) for s in
+                             (slice(1, -1), slice(2, None), slice(0, -2)))
+        c_mid, on = comp[mid], central[mid]
+        np.subtract(u[above], u[below], out=c_mid, where=on)
+        np.divide(c_mid, 2.0 * h, out=c_mid, where=on)
+        np.subtract(u, 0.0, out=comp, where=up)
+        np.divide(comp, h, out=comp, where=up)
+        np.subtract(0.0, u, out=comp, where=dn)
+        np.divide(comp, h, out=comp, where=dn)
     return out

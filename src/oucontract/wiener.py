@@ -306,6 +306,15 @@ def cylindrical_domain(spec: FunctionalSpec, basis: KLBasis) -> LevelSetDomain:
       d2G/dxi_ij  = integral g''(path) h_i h_j ds.
 
     The profile is validated first; a rejected spec raises ValueError.
+
+    G_m is strictly monotone in xi_1, so the domain declares
+    ``monotone_axis=0`` and grids bisect along that axis: the validated
+    slope floor |g'| >= c > 0 keeps g' of one sign, and h_1 >= 0 on [0, 1]
+    for both KL kinds (sqrt(2) sin((n - 1/2) pi s)/((n - 1/2) pi) and
+    sqrt(2) sin(n pi s)/(n pi) at n = 1), positive at every interior
+    quadrature node, so dG/dxi_1 = integral g'(path) h_1 ds has the sign of
+    g' and modulus at least c * integral h_1 ds.  A spec declaring c <= 0
+    makes no such claim and is classified node by node.
     """
     report = validate_functional(spec)
     if not report.ok:
@@ -335,7 +344,8 @@ def cylindrical_domain(spec: FunctionalSpec, basis: KLBasis) -> LevelSetDomain:
 
     floor = 0.1 * spec.c * abs(basis.h1_integral())
     return LevelSetDomain(m, g, grad, hess, grad_floor=floor,
-                          name=f"cylindrical({spec.name},m={m})")
+                          name=f"cylindrical({spec.name},m={m})",
+                          monotone_axis=0 if spec.c > 0 else None)
 
 
 def pathwise_level_value(spec: FunctionalSpec, basis: KLBasis, coeffs) -> float:

@@ -164,6 +164,24 @@ class TestDerivativeFallbacks:
         assert np.allclose(numeric.hessian(x), analytic.hessian(x), atol=1e-5)
 
 
+class TestMonotoneAxis:
+    def test_declared_by_halfspace_and_epigraph_only(self):
+        zero = lambda xp: np.zeros(np.atleast_2d(xp).shape[0])
+        assert [halfspace(3, 1.0, axis=a).monotone_axis for a in range(3)] == [0, 1, 2]
+        assert epigraph(2, zero, np.zeros_like, lambda xp: np.zeros((1, 1))).monotone_axis == 0
+        for dom in (ball(2, 1.0), ellipsoid([1.0, 2.0]),
+                    polynomial_domain(2, [(1.0, (1, 0))]), LevelSetDomain(2, zero)):
+            assert dom.monotone_axis is None
+
+    def test_rotation_drops_the_claim(self):
+        # a quarter turn maps {x_0 < -1} to {x_1 < -1}, constant along x_0,
+        # so the wrapped domain's axis would be false for the image
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        dom = rotated(halfspace(2, 1.0), quarter)
+        assert dom.value(np.array([[5.0, -2.0], [-5.0, -2.0]])).tolist() == [-1.0, -1.0]
+        assert dom.monotone_axis is None
+
+
 class TestDomainSpecs:
     def test_halfspace_roundtrip(self):
         dom = domain_from_spec(

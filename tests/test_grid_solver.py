@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from scipy.sparse.linalg import cg, spsolve
 import oucontract
 from oucontract import solver
 from oucontract.contract import make_bump
-from oucontract.domains import ball, halfspace
+from oucontract.domains import LevelSetDomain, ball, halfspace
 from oucontract.gauss import hermite_poly
 from oucontract.grid import GaussianGrid, ScalarField, _shifted, discrete_gradient
 from oucontract.solver import (
@@ -24,6 +25,16 @@ from oucontract.solver import (
     export_diagnostics_json,
     export_solution_csv,
     solve_resolvent,
+)
+from oucontract.wiener import (
+    BM,
+    BRIDGE,
+    KLBasis,
+    affine_level_spec,
+    cylindrical_domain,
+    epigraph_domain,
+    gauss_ridge_epigraph,
+    rational_reference_spec,
 )
 
 
@@ -62,6 +73,104 @@ class TestGrid:
         n1 = int(np.sum(grid.eroded_interior(1)))
         n2 = int(np.sum(grid.eroded_interior(2)))
         assert n0 > n1 > n2 > 0
+
+
+# the shipped cylindrical profiles, by their config names
+_CYLINDRICAL_SPECS = {
+    "affine": lambda: affine_level_spec(r=-1.0, kind=BM),
+    "reference_bm": lambda: rational_reference_spec(kind=BM, r=-0.75),
+    "reference_bridge": lambda: rational_reference_spec(kind=BRIDGE, r=-0.75),
+}
+# (lo, hi, h): the whole box, an off-centre box, per-axis spacings, and a box
+# the boundary of each profile misses for some m
+_CYLINDRICAL_BOXES = [(-6.0, 6.0, 0.3), (-3.0, 2.0, 0.2),
+                      ([-1.0, -2.0, -4.0], [4.0, 1.0, 0.5], [0.25, 0.15, 0.3]),
+                      (2.0, 5.0, 0.25)]
+# a halfspace's boundary x_axis = -offset sits on a node for offsets 1 and 0,
+# where G = 0 counts as exterior; +-9 put whole lines on one side
+_HALFSPACE_BOX = ([-2.0, -1.0, -3.0], [2.0, 3.0, 1.0], [0.5, 0.25, 0.5])
+
+
+def _cylindrical_case(name, m, box):
+    spec = _CYLINDRICAL_SPECS[name]()
+    lo, hi, h = (np.broadcast_to(v, (3,))[:m] for v in box)
+    return cylindrical_domain(spec, KLBasis.build(spec.kind, m)), lo, hi, h
+
+
+def _halfspace_case(dim, axis, offset):
+    lo, hi, h = (np.asarray(v)[:dim] for v in _HALFSPACE_BOX)
+    return halfspace(dim, offset, axis), lo, hi, h
+
+
+def _epigraph_case(m):
+    # the wiener suite's gauss-ridge profile, with one weight per trailing axis
+    spec = gauss_ridge_epigraph(2.0, 0.5, [1.0, 0.0][:m - 1])
+    return epigraph_domain(spec, m), -4.0, 1.0, 0.125
+
+
+CLASSIFY_CASES = {
+    **{f"cyl-{name}-m{m}-box{k}": (_cylindrical_case, (name, m, box))
+       for name in sorted(_CYLINDRICAL_SPECS) for m in (1, 2, 3)
+       for k, box in enumerate(_CYLINDRICAL_BOXES)},
+    **{f"halfspace-{dim}d-axis{axis}-offset{offset:+g}": (_halfspace_case, (dim, axis, offset))
+       for dim in (1, 2, 3) for axis in range(dim) for offset in (1.0, 0.0, -1.0, 9.0, -9.0)},
+    **{f"epigraph-m{m}": (_epigraph_case, (m,)) for m in (2, 3)},
+}
+
+
+class TestMonotoneClassification:
+    """Bisection along ``monotone_axis`` against the node-by-node scan."""
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFY_CASES))
+    def test_mask_equals_scan(self, case):
+        make, args = CLASSIFY_CASES[case]
+        dom, lo, hi, h = make(*args)
+        assert dom.monotone_axis is not None
+        got = GaussianGrid.build(dom, lo, hi, h).interior
+        want = GaussianGrid.build(dataclasses.replace(dom, monotone_axis=None), lo, hi, h).interior
+        assert got.flags.c_contiguous and got.dtype == bool
+        assert np.array_equal(got, want)
+
+    def test_cases_cross_and_miss_the_boundary(self):
+        # the matrix holds lines that change sign, and boxes wholly on one side
+        fractions = []
+        for make, args in CLASSIFY_CASES.values():
+            dom, lo, hi, h = make(*args)
+            fractions.append(GaussianGrid.build(dom, lo, hi, h).interior.mean())
+        assert len(fractions) == 68
+        assert 0.0 in fractions and 1.0 in fractions
+        assert sum(0.0 < f < 1.0 for f in fractions) >= 40
+
+    def test_false_claim_changes_the_mask(self):
+        # a ball is not monotone along x_0: every line's ends lie outside it,
+        # so a hand-set axis loses the interior, which shows the test can fail
+        dom = ball(2, 1.0)
+        scan = GaussianGrid.build(dom, -2, 2, 0.1).interior
+        claimed = GaussianGrid.build(dataclasses.replace(dom, monotone_axis=0), -2, 2, 0.1)
+        assert scan.any()
+        assert not np.array_equal(claimed.interior, scan)
+
+    def test_evaluations_on_the_converge_grid(self, monkeypatch):
+        # converge-3d's 81^3 reference_bm grid: the scan evaluates G at all
+        # 531,441 nodes, bisection at most lines * (ceil(log2 N) + 2)
+        points = []
+        value = LevelSetDomain.value
+
+        def counting(self, x):
+            points.append(len(x))
+            return value(self, x)
+
+        dom, lo, hi, h = _cylindrical_case("reference_bm", 3, (-6.0, 6.0, 0.15))
+        monkeypatch.setattr(LevelSetDomain, "value", counting)
+        grid = GaussianGrid.build(dom, lo, hi, h)
+        n_lines = grid.n_nodes // grid.shape[0]
+        assert grid.shape == (81, 81, 81)
+        assert 0 < grid.n_interior < grid.n_nodes
+        assert sum(points) <= n_lines * (math.ceil(math.log2(81)) + 2)
+
+    def test_axis_must_lie_in_the_domain(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(halfspace(2, 1.0), monotone_axis=2)
 
 
 # (lo, hi, h) per grid; "2d-rect" has a per-axis h on a non-square box
@@ -128,7 +237,79 @@ class TestInterpolatorAgainstScipy:
         assert np.array_equal(ours, ref(pts))
 
 
+def gradient_reference(field):
+    """discrete_gradient as written with node-sized shifted copies."""
+    grid = field.grid
+    u = field.values
+    interior = grid.interior
+    out = np.zeros(grid.shape + (grid.dim,))
+    for a in range(grid.dim):
+        h = grid.h[a]
+        u_up = _shifted(u, a, +1)
+        u_dn = _shifted(u, a, -1)
+        int_up = _shifted(interior, a, +1, fill=False)
+        int_dn = _shifted(interior, a, -1, fill=False)
+        central = int_up & int_dn
+        comp = np.zeros(grid.shape)
+        comp[central] = (u_up[central] - u_dn[central]) / (2.0 * h)
+        up_only = int_up & ~int_dn
+        comp[up_only] = (u[up_only] - 0.0) / h
+        dn_only = ~int_up & int_dn
+        comp[dn_only] = (0.0 - u[dn_only]) / h
+        comp[~interior] = 0.0
+        out[..., a] = comp
+    return out
+
+
+def _speckled(grid, seed):
+    """The grid with a random interior: isolated nodes, runs, box-edge contact."""
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(grid, interior=rng.random(grid.shape) < 0.6)
+
+
+GRADIENT_GRIDS = {
+    "halfline": lambda: GaussianGrid.build(halfspace(1, 1.0), -3, 3, 0.25),
+    "halfplane": lambda: GaussianGrid.build(halfspace(2, 0.5, axis=1), -3, 3, [0.2, 0.3]),
+    "disk": lambda: GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.1),
+    "halfspace-3d": lambda: GaussianGrid.build(halfspace(3, 0.0, axis=2), -1, 1, [0.25, 0.2, 0.1]),
+    "ball-3d": lambda: GaussianGrid.build(ball(3, 1.0), -1.3, 1.3, 0.2),
+    "speckled-1d": lambda: _speckled(GaussianGrid.build(None, -2, 2, 0.1, dim=1), 1),
+    "speckled-2d": lambda: _speckled(GaussianGrid.build(None, -2, 2, [0.2, 0.25], dim=2), 2),
+    "speckled-3d": lambda: _speckled(GaussianGrid.build(None, -1, 1, 0.2, dim=3), 3),
+}
+
+
+@pytest.fixture(scope="module")
+def converge_grid():
+    """converge-3d's 81^3 grid of the reference_bm cylindrical domain at m = 3."""
+    dom, lo, hi, h = _cylindrical_case("reference_bm", 3, (-6.0, 6.0, 0.15))
+    return GaussianGrid.build(dom, lo, hi, h)
+
+
 class TestDiscreteGradient:
+    @pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
+    def test_bitwise_equal_to_shifted_copies(self, name):
+        grid = GRADIENT_GRIDS[name]()
+        values = np.random.default_rng(5).standard_normal(grid.shape)
+        flat = values.reshape(-1)
+        flat[::7] = 0.0   # 0 - u is +0.0 where -u would be -0.0
+        flat[3::11] = -0.0
+        field = ScalarField(grid, values)
+        got = discrete_gradient(field)
+        want = gradient_reference(field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_transient_within_bound(self, converge_grid):
+        # node-sized float copies of u per axis peaked at 2.5x the result here
+        field = ScalarField.from_callable(converge_grid, lambda p: np.exp(-np.sum(p * p, axis=1)))
+        tracemalloc.start()
+        try:
+            out = discrete_gradient(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * out.nbytes, peak / out.nbytes
+
     def test_constant_field_has_zero_gradient(self, line_grid):
         f = ScalarField.from_callable(line_grid, lambda p: np.ones(p.shape[0]))
         g = discrete_gradient(f)
@@ -158,6 +339,31 @@ class TestDiscreteGradient:
         # last interior node at -0.5 sees the pinned zero at 0.0
         idx = int(np.argmin(np.abs(grid.axes[0] + 0.5)))
         assert g[idx] == pytest.approx((0.0 - 1.0) / 0.5)
+
+
+class TestFromCallable:
+    @pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
+    def test_bitwise_equal_to_node_coordinates(self, name):
+        grid = GRADIENT_GRIDS[name]()
+        seen = []
+
+        def f(p):
+            seen.append(p.copy())
+            return np.sin(p @ np.arange(1.0, grid.dim + 1.0)) + p[:, 0] ** 3
+
+        got = ScalarField.from_callable(grid, f)
+        flat_interior = grid.interior.reshape(-1)
+        pts = grid.node_coordinates()[flat_interior]
+        want = np.zeros(grid.n_nodes)
+        want[flat_interior] = f(pts)
+        assert seen[0].tobytes() == pts.tobytes() and seen[0].shape == pts.shape
+        assert got.values.tobytes() == want.reshape(grid.shape).tobytes()
+
+    def test_empty_interior_calls_nothing(self):
+        grid = GaussianGrid.build(halfspace(2, 9.0), 0, 1, 0.25)
+        assert grid.n_interior == 0
+        field = ScalarField.from_callable(grid, lambda p: 1 / 0)
+        assert not field.values.any()
 
 
 class TestAssembly:
@@ -246,6 +452,13 @@ class TestCsrAssembly:
                           (mat.data, ref.data)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()  # -0.0 couplings at sigma = 0 too
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRIDS))
+    def test_sqrt_w_bitwise_equal_to_node_weights(self, name):
+        grid = ASSEMBLY_GRIDS[name]()
+        op = assemble_ou_operator(grid, 1.0)
+        want = np.sqrt(grid.node_weights()[grid.interior])
+        assert op.sqrt_w.tobytes() == want.tobytes()
 
     def test_assembly_transient_within_bound(self):
         # the COO construction's row, column and value lists, their

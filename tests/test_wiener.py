@@ -338,17 +338,26 @@ class TestConvergenceStudy:
 
 class TestCylindricalClassification:
     def test_interior_mask_matches_pathwise_sign(self):
-        # 11^3 nodes: not a multiple of the evaluation block, so the
-        # classification crosses block boundaries and ends on a partial block
+        # bisected along xi_1 as declared, and scanned node by node: 11^3
+        # nodes are not a multiple of the evaluation block, so the scan
+        # crosses block boundaries and ends on a partial block
         from oucontract.grid import GaussianGrid
         from oucontract.wiener import _EVAL_CHUNK
 
         spec = rational_reference_spec()
         basis = KLBasis.build(spec.kind, 3)
-        grid = GaussianGrid.build(cylindrical_domain(spec, basis), -3.0, 3.0, 0.6)
-        assert grid.n_nodes > _EVAL_CHUNK and grid.n_nodes % _EVAL_CHUNK != 0
-        ref = np.array([pathwise_level_value(spec, basis, x)
-                        for x in grid.node_coordinates()])
-        assert np.min(np.abs(ref)) > 1e-9  # no node on the boundary
-        assert 0 < grid.n_interior < grid.n_nodes
-        assert np.array_equal(grid.interior.reshape(-1), ref < 0.0)
+        dom = cylindrical_domain(spec, basis)
+        assert dom.monotone_axis == 0
+        for axis in (0, None):
+            grid = GaussianGrid.build(dataclasses.replace(dom, monotone_axis=axis),
+                                      -3.0, 3.0, 0.6)
+            assert grid.n_nodes > _EVAL_CHUNK and grid.n_nodes % _EVAL_CHUNK != 0
+            ref = np.array([pathwise_level_value(spec, basis, x)
+                            for x in grid.node_coordinates()])
+            assert np.min(np.abs(ref)) > 1e-9  # no node on the boundary
+            assert 0 < grid.n_interior < grid.n_nodes
+            assert np.array_equal(grid.interior.reshape(-1), ref < 0.0)
+
+    def test_no_slope_floor_makes_no_monotone_claim(self):
+        spec = dataclasses.replace(affine_level_spec(r=-1.0), c=0.0)
+        assert cylindrical_domain(spec, KLBasis.build(BM, 2)).monotone_axis is None
