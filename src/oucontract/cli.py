@@ -54,6 +54,8 @@ from .wiener import (
     cylindrical_curvature_audit,
     cylindrical_domain,
     epigraph_curvature_audit,
+    epigraph_domain,
+    epigraph_spec_from_dict,
     gauss_ridge_epigraph,
     rational_reference_spec,
     resolvent_convergence_study,
@@ -212,8 +214,6 @@ def build_domain(spec: dict) -> LevelSetDomain:
         basis = KLBasis.build(fs.kind, int(spec["m"]))
         return cylindrical_domain(fs, basis)
     if spec.get("type") == "epigraph":
-        from .wiener import epigraph_domain, epigraph_spec_from_dict
-
         return epigraph_domain(epigraph_spec_from_dict(spec["parameters"]),
                                int(spec["dim"]))
     return domain_from_spec(spec)

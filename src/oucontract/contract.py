@@ -216,22 +216,16 @@ def check_pointwise_inequality(
     grid = u.grid
     phi, phi_eps = gradient_magnitude_fields(u, eps)
     l_phi_eps = discrete_ou_apply(phi_eps)
-    core = grid.eroded_interior(2)
+    nodes = np.flatnonzero(grid.eroded_interior(2))
     if density_floor > 0.0:
         cell = float(np.prod(grid.h))
-        core = core & (grid.node_weights() >= density_floor * cell)
-    lhs = np.zeros(grid.shape)
-    lhs[core] = phi.values[core] ** 2 / phi_eps.values[core] - sigma * l_phi_eps.values[core]
-    coords = grid.node_coordinates().reshape(grid.shape + (grid.dim,))
-    rhs = np.zeros(grid.shape)
-    rhs[core] = y.grad_norm(coords[core])
-    excess = np.zeros(grid.shape)
-    excess[core] = lhs[core] - rhs[core] - tol
-    bad = core & (excess > 0.0)
-    flat_bad = np.flatnonzero(bad.reshape(-1))
-    violations = [(int(i), float(excess.reshape(-1)[i])) for i in flat_bad]
-    worst = float(np.max(excess[core])) if np.any(core) else 0.0
-    return ViolationReport(int(np.sum(core)), violations, worst)
+        nodes = nodes[grid.node_weights(nodes) >= density_floor * cell]
+    excess = phi.flat()[nodes] ** 2 / phi_eps.flat()[nodes] - sigma * l_phi_eps.flat()[nodes]
+    excess -= y.grad_norm(grid.node_coordinates(nodes))
+    excess -= tol
+    violations = [(int(nodes[i]), float(excess[i])) for i in np.flatnonzero(excess > 0.0)]
+    worst = float(np.max(excess)) if nodes.size else 0.0
+    return ViolationReport(nodes.size, violations, worst)
 
 
 @dataclass
@@ -336,13 +330,13 @@ def boundary_flux_integral(u: ScalarField, eps: float, ps) -> list[float]:
     """
     grid = u.grid
     _, phi_eps = gradient_magnitude_fields(u, eps)
-    core = grid.eroded_interior(2)
-    w = grid.node_weights()[core]
+    nodes = np.flatnonzero(grid.eroded_interior(2))
+    w = grid.node_weights(nodes)
     out = []
     for p in ps:
         g = convex_power_surrogate(float(p), _SURROGATE_DELTA)
         l_psi = discrete_ou_apply(ScalarField(grid, g(phi_eps.values)))
-        out.append(float(np.sum(l_psi.values[core] * w)))
+        out.append(float(np.sum(l_psi.flat()[nodes] * w)))
     return out
 
 
@@ -392,14 +386,13 @@ def gradient_lp_ratio(
     that side.
     """
     grid = u.grid
-    mask = grid.full_stencil
-    w = grid.node_weights()[mask]
+    nodes = np.flatnonzero(grid.full_stencil)
+    w = grid.node_weights(nodes)
     if w.size == 0 or float(np.sum(w)) <= 0.0:
         raise ValueError("region has no quadrature mass")
-    grad_u = discrete_gradient(u)[mask]
+    grad_u = discrete_gradient(u).reshape(-1, grid.dim)[nodes]
     lhs_vals = np.linalg.norm(grad_u, axis=-1)
-    coords = grid.node_coordinates().reshape(grid.shape + (grid.dim,))[mask]
-    rhs_vals = bump.grad_norm(coords)
+    rhs_vals = bump.grad_norm(grid.node_coordinates(nodes))
     out = []
     for p in ps:
         p = float(p)

@@ -243,6 +243,23 @@ def project_to_boundary(
     return BoundaryPoint(x, outer_normal(dom, x), gx)
 
 
+def sample_boundary(dom: LevelSetDomain, n_samples: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary projections of n_samples standard normal draws of rng.
+
+    Returns the (n_samples, dim) points and Hgamma at each.  Each sample
+    draws dim normals in turn, so a generator in a given state yields the
+    same points to every caller.
+    """
+    points = np.empty((n_samples, dom.dim))
+    h_gammas = np.empty(n_samples)
+    for i in range(n_samples):
+        bp = project_to_boundary(dom, rng.standard_normal(dom.dim))
+        points[i] = bp.x
+        h_gammas[i] = gaussian_curvature(dom, bp.x)
+    return points, h_gammas
+
+
 @dataclass
 class CurvatureScan:
     """Result of sampling Hgamma over the boundary."""
@@ -270,13 +287,7 @@ def curvature_sign_scan(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    values = np.empty(n_samples)
-    points = np.empty((n_samples, dom.dim))
-    for i in range(n_samples):
-        bp = project_to_boundary(dom, rng.standard_normal(dom.dim))
-        values[i] = gaussian_curvature(dom, bp.x)
-        points[i] = bp.x
+    points, values = sample_boundary(dom, n_samples, np.random.default_rng(seed))
     k = int(np.argmin(values))
     return CurvatureScan(
         min_value=float(values[k]),

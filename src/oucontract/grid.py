@@ -74,24 +74,20 @@ class GaussianGrid:
         shape = tuple(int(math.floor((b - a) / s + 0.5)) + 1 for a, b, s in zip(lo, hi, hs))
         axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(dim)]
         h_eff = np.array([ax[1] - ax[0] for ax in axes])
-        if domain is None:
-            interior = np.ones(shape, dtype=bool)
-        else:
-            interior = cls._classify(domain, axes, shape)
-        return cls(dim, lo, hi, shape, axes, h_eff, interior, domain)
+        grid = cls(dim, lo, hi, shape, axes, h_eff, None, domain)
+        grid.interior = np.ones(shape, dtype=bool) if domain is None else grid._classify()
+        return grid
 
-    @staticmethod
-    def _classify(domain: LevelSetDomain, axes, shape) -> np.ndarray:
-        if domain.monotone_axis is not None:
-            return _classify_monotone(domain, axes, shape)
-        n = int(np.prod(shape))
+    def _classify(self) -> np.ndarray:
+        if self.domain.monotone_axis is not None:
+            return _classify_monotone(self)
+        n = self.n_nodes
         out = np.empty(n, dtype=bool)
         for start in range(0, n, _CLASSIFY_CHUNK):
-            idx = np.arange(start, min(start + _CLASSIFY_CHUNK, n))
-            multi = np.unravel_index(idx, shape)
-            pts = np.column_stack([axes[a][multi[a]] for a in range(len(shape))])
-            out[idx] = np.asarray(domain.value(pts)) < 0.0
-        return out.reshape(shape)
+            stop = min(start + _CLASSIFY_CHUNK, n)
+            pts = self.node_coordinates(np.arange(start, stop))
+            out[start:stop] = np.asarray(self.domain.value(pts)) < 0.0
+        return out.reshape(self.shape)
 
     # -- masks ---------------------------------------------------------
 
@@ -124,22 +120,35 @@ class GaussianGrid:
 
     # -- geometry ------------------------------------------------------
 
-    def node_coordinates(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.column_stack([g.reshape(-1) for g in grids])
+    def _axis_indices(self, nodes: np.ndarray):
+        """(a, index along axis a) of flat C-order node indices, one axis at a time."""
+        stride = self.n_nodes
+        for a, n in enumerate(self.shape):
+            stride //= n
+            yield a, nodes // stride % n
 
-    def axis_density(self, a: int) -> np.ndarray:
-        return density_1d(self.axes[a])
+    def node_coordinates(self, nodes: np.ndarray | None = None) -> np.ndarray:
+        """(k, dim) coordinates of flat C-order node indices, every node by default."""
+        if nodes is None:
+            nodes = np.arange(self.n_nodes)
+        out = np.empty((len(nodes), self.dim))
+        for a, i in self._axis_indices(nodes):
+            out[:, a] = self.axes[a][i]
+        return out
 
-    def node_weights(self) -> np.ndarray:
-        """theta_d(x) * prod(h) per node, shape = grid shape."""
-        cell = float(np.prod(self.h))
-        w = np.ones(self.shape)
-        for a in range(self.dim):
-            view = [None] * self.dim
-            view[a] = slice(None)
-            w = w * self.axis_density(a)[tuple(view)]
-        return w * cell
+    def node_weights(self, nodes: np.ndarray | None = None) -> np.ndarray:
+        """theta_d(x) * prod(h) at flat C-order node indices, shape (k,).
+
+        With no argument every node's weight, shape = grid shape.  The
+        product is formed axis by axis from 1, then times the cell volume.
+        """
+        if nodes is None:
+            return self.node_weights(np.arange(self.n_nodes)).reshape(self.shape)
+        w = np.ones(len(nodes))
+        for a, i in self._axis_indices(nodes):
+            w *= density_1d(self.axes[a])[i]
+        w *= float(np.prod(self.h))
+        return w
 
     def interpolator(self, values: np.ndarray):
         """Multilinear interpolant of nodal values, 0 outside the box.
@@ -184,7 +193,7 @@ class GaussianGrid:
         return interp
 
 
-def _classify_monotone(domain: LevelSetDomain, axes, shape) -> np.ndarray:
+def _classify_monotone(grid: GaussianGrid) -> np.ndarray:
     """Interior mask of a domain whose G is strictly monotone along one axis.
 
     Each line parallel to ``domain.monotone_axis`` holds at most one sign
@@ -194,22 +203,20 @@ def _classify_monotone(domain: LevelSetDomain, axes, shape) -> np.ndarray:
     classified like the last.  Whether G rises or falls along the axis
     needs no declaration.
     """
+    domain, shape = grid.domain, grid.shape
     a = domain.monotone_axis
     n_a = shape[a]
-    cross = [b for b in range(len(shape)) if b != a]
-    line_shape = tuple(shape[b] for b in cross)
+    inner = math.prod(shape[a + 1:])  # the axis stride
+    line_shape = shape[:a] + shape[a + 1:]
     n_lines = math.prod(line_shape)
-    # each line's index on the transverse axes; a 1-D grid is one line
-    multi = np.unravel_index(np.arange(n_lines), line_shape) if cross else ()
+    # lines in C order over the other axes; node i of line l is first_node[l] + i*inner
+    every = np.arange(n_lines)
+    first_node = every // inner * (n_a * inner) + every % inner
 
     def inside(lines, i):
-        pts = np.empty((lines.size, len(shape)))
-        for b, mb in zip(cross, multi):
-            pts[:, b] = axes[b][mb[lines]]
-        pts[:, a] = axes[a][i]
+        pts = grid.node_coordinates(first_node[lines] + i * inner)
         return np.asarray(domain.value(pts)) < 0.0
 
-    every = np.arange(n_lines)
     ends = inside(np.concatenate([every, every]), np.repeat([0, n_a - 1], n_lines))
     first = ends[:n_lines]
     # split: each line's first node classified like its last, n_a if the ends agree
@@ -255,9 +262,7 @@ class ScalarField:
         vals = np.zeros(grid.n_nodes)
         flat_int = np.flatnonzero(grid.interior)
         if flat_int.size:
-            multi = np.unravel_index(flat_int, grid.shape)
-            pts = np.column_stack([ax[i] for ax, i in zip(grid.axes, multi)])
-            vals[flat_int] = np.asarray(f(pts), dtype=float)
+            vals[flat_int] = np.asarray(f(grid.node_coordinates(flat_int)), dtype=float)
         return cls(grid, vals.reshape(grid.shape))
 
     @classmethod

@@ -21,9 +21,9 @@ interior axis neighbor, so its length comes from the neighbor masks, and the
 slots are filled in ascending column order, -stride_0 ... -stride_{d-1},
 diagonal, +stride_{d-1} ... +stride_0, through one int32 array of each row's
 next free slot.  With no COO triplets, no sort and no duplicate sum, and the
-node weights gathered per axis at the unknowns rather than built for the
-whole grid, the assembly's transient memory on a 61^3 ball grid is 1.8
-times the operator it returns, where the COO route took 5.3 times.  At sigma = 0 the
+node weights gathered at the unknowns rather than built for the whole grid,
+the assembly's transient memory on a 61^3 ball grid is 1.8 times the
+operator it returns, where the COO route took 5.3 times.  At sigma = 0 the
 couplings are stored as explicit -0.0 entries.
 
 The solve runs plain conjugate gradients on the symmetrized system, written
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import GaussianGrid, ScalarField, _shifted
+from .grid import GaussianGrid, ScalarField, _shifted, discrete_gradient
 
 
 @dataclass
@@ -65,19 +65,6 @@ class OuOperator:
     @property
     def n_unknowns(self) -> int:
         return self.interior_flat.size
-
-    def weighted_inner(self, f: ScalarField, g: ScalarField) -> float:
-        wf = f.flat()[self.interior_flat] * self.sqrt_w
-        wg = g.flat()[self.interior_flat] * self.sqrt_w
-        return _dot(wf, wg)
-
-    def apply(self, f: ScalarField) -> ScalarField:
-        """(I - sigma*L_h) f in the original nodal variables."""
-        x = f.flat()[self.interior_flat] * self.sqrt_w
-        y = self.matrix @ x
-        out = np.zeros(self.grid.n_nodes)
-        out[self.interior_flat] = y / self.sqrt_w
-        return ScalarField(self.grid, out.reshape(self.grid.shape))
 
 
 def _axis_face_ratios(grid: GaussianGrid, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,17 +92,17 @@ def assemble_ou_operator(grid: GaussianGrid, sigma: float) -> OuOperator:
     unknown_of[flat_int] = np.arange(m, dtype=np.int32)
     strides = [math.prod(grid.shape[a + 1:]) for a in range(grid.dim)]
 
+    sqrt_w = grid.node_weights(flat_int)
+    np.sqrt(sqrt_w, out=sqrt_w)
+
     # Dirichlet: the diagonal keeps both face weights regardless of the
     # neighbor's status, couplings exist only between interior pairs.
     diag = np.ones(m)
-    w = np.ones(m)  # node_weights() at the unknowns, factor by factor
     below, above = [], []  # per axis: does the unknown's neighbor exist
-    for a in range(grid.dim):
+    for a, i_a in grid._axis_indices(flat_int):
         h = grid.h[a]
         up, dn = _axis_face_ratios(grid, a)
-        i_a = (flat_int // strides[a]) % grid.shape[a]
         diag += sigma * (up[i_a] + dn[i_a]) / h**2
-        w *= grid.axis_density(a)[i_a]
         below.append(_shifted(interior, a, -1, fill=False).reshape(-1)[flat_int])
         above.append(_shifted(interior, a, +1, fill=False).reshape(-1)[flat_int])
 
@@ -143,26 +130,33 @@ def assemble_ou_operator(grid: GaussianGrid, sigma: float) -> OuOperator:
         fill(rows, unknown_of[flat_int[rows] + strides[a]], coef[a])
 
     mat = sp.csr_matrix((data, indices, indptr), shape=(m, m))
-    w *= float(np.prod(grid.h))
-    return OuOperator(grid, sigma, mat, np.sqrt(w, out=w), flat_int)
+    return OuOperator(grid, sigma, mat, sqrt_w, flat_int)
 
 
 def discrete_ou_apply(f: ScalarField) -> ScalarField:
-    """L_h f on interior nodes (flux form), 0 on exterior nodes."""
+    """L_h f on interior nodes (flux form), 0 on exterior nodes.
+
+    Each axis's two differences are taken in place in one shifted copy of
+    u each and scaled by the face ratios as broadcast views, so the
+    transient is two node-sized arrays beside the result.
+    """
     grid = f.grid
     u = f.values
     out = np.zeros(grid.shape)
     for a in range(grid.dim):
-        h = grid.h[a]
-        up, dn = _axis_face_ratios(grid, a)
-        view = [None] * grid.dim
-        view[a] = slice(None)
-        up_b = np.broadcast_to(up[tuple(view)], grid.shape)
-        dn_b = np.broadcast_to(dn[tuple(view)], grid.shape)
-        u_up = _shifted(u, a, +1)
-        u_dn = _shifted(u, a, -1)
-        out += (up_b * (u_up - u) + dn_b * (u_dn - u)) / h**2
-    out[~grid.interior] = 0.0
+        along = [1] * grid.dim
+        along[a] = -1
+        up, dn = (r.reshape(along) for r in _axis_face_ratios(grid, a))
+        t = _shifted(u, a, +1)
+        t -= u
+        t *= up
+        s = _shifted(u, a, -1)
+        s -= u
+        s *= dn
+        t += s
+        t /= grid.h[a] ** 2
+        out += t
+        del t, s  # freed before the next axis allocates its two copies
     return ScalarField(grid, out)
 
 
@@ -272,22 +266,16 @@ def solve_resolvent(
 
 def export_solution_csv(sol: ResolventSolution, path) -> None:
     """Nodal CSV: coordinates, u, |grad u| (interior nodes only)."""
-    from .grid import discrete_gradient
-
     grid = sol.u.grid
-    coords = grid.node_coordinates()
-    flat_interior = grid.interior.reshape(-1)
+    nodes = np.flatnonzero(grid.interior)
     gnorm = np.linalg.norm(
-        discrete_gradient(sol.u).reshape(-1, grid.dim), axis=1
+        discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes], axis=1
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(grid.dim)] + ["u", "grad_norm"])
-        for i in np.flatnonzero(flat_interior):
-            writer.writerow(
-                [repr(c) for c in coords[i]]
-                + [repr(float(sol.u.flat()[i])), repr(float(gnorm[i]))]
-            )
+        for x, u, g in zip(grid.node_coordinates(nodes), sol.u.flat()[nodes], gnorm):
+            writer.writerow([repr(c) for c in x] + [repr(float(u)), repr(float(g))])
 
 
 def export_diagnostics_json(sol: ResolventSolution, path) -> None:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .contract import BumpFunction
-from .domains import LevelSetDomain, gaussian_curvature, project_to_boundary
+from .domains import LevelSetDomain, epigraph, sample_boundary
 from .gauss import gauss_hermite_rule
 from .grid import GaussianGrid, ScalarField, discrete_gradient
 from .solver import ResolventJob, solve_resolvent
@@ -355,18 +355,6 @@ def pathwise_level_value(spec: FunctionalSpec, basis: KLBasis, coeffs) -> float:
     return float(np.atleast_1d(vals)[0]) - spec.r
 
 
-def _boundary_samples(dom: LevelSetDomain, n_samples: int,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Hgamma and grad G at the boundary projections of n_samples draws of rng."""
-    h_gammas = np.empty(n_samples)
-    grads = np.empty((n_samples, dom.dim))
-    for i in range(n_samples):
-        bp = project_to_boundary(dom, rng.standard_normal(dom.dim))
-        h_gammas[i] = gaussian_curvature(dom, bp.x)
-        grads[i] = dom.gradient(bp.x)
-    return h_gammas, grads
-
-
 @dataclass
 class CurvatureAudit:
     min_h_gamma: float
@@ -407,7 +395,8 @@ def cylindrical_curvature_audit(
     dom = cylindrical_domain(spec, basis)
     numer = spec.threshold_slack()
     floor = spec.c * abs(basis.h1_integral())
-    h_gammas, grads = _boundary_samples(dom, n_samples, np.random.default_rng(seed))
+    points, h_gammas = sample_boundary(dom, n_samples, np.random.default_rng(seed))
+    grads = np.array([dom.gradient(x) for x in points])
     slacks = h_gammas - numer / np.linalg.norm(grads, axis=1)
     return CurvatureAudit(
         min_h_gamma=float(np.min(h_gammas)),
@@ -503,12 +492,10 @@ def epigraph_spec_from_dict(d: dict) -> EpigraphSpec:
 
 
 def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:
-    from .domains import epigraph as _epigraph
-
     if m < 2:
         raise ValueError("epigraph domains need m >= 2")
-    return _epigraph(m, spec.phi, spec.phi_grad, spec.phi_hess,
-                     grad_floor=0.5, name=spec.name)
+    return epigraph(m, spec.phi, spec.phi_grad, spec.phi_hess,
+                    grad_floor=0.5, name=spec.name)
 
 
 @dataclass
@@ -561,7 +548,8 @@ def epigraph_curvature_audit(
         return EpigraphAudit(False, failures, math.nan, math.nan, 0, tol)
 
     dom = epigraph_domain(spec, m)
-    h_gammas, grads = _boundary_samples(dom, n_samples, rng)
+    points, h_gammas = sample_boundary(dom, n_samples, rng)
+    grads = np.array([dom.gradient(x) for x in points])
     slacks = h_gammas - spec.margin() / np.linalg.norm(grads, axis=1)
     return EpigraphAudit(True, [], float(np.min(h_gammas)), float(np.min(slacks)),
                          n_samples, tol)

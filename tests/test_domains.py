@@ -16,6 +16,7 @@ from oucontract.domains import (
     polynomial_domain,
     project_to_boundary,
     rotated,
+    sample_boundary,
 )
 
 
@@ -145,6 +146,17 @@ class TestCurvatureScan:
         scan = curvature_sign_scan(halfspace(2, 0.0), 40, seed=5, tol=1e-12)
         assert scan.n_violations == 0
         assert scan.min_value == pytest.approx(0.0, abs=1e-10)
+
+
+class TestSampleBoundary:
+    def test_points_on_the_ray_of_each_draw(self):
+        # on a ball the projection of a draw z is the radial point R z/|z|
+        rng = np.random.default_rng(8)
+        draws = np.random.default_rng(8).standard_normal((12, 3))
+        points, h_gammas = sample_boundary(ball(3, 0.8), 12, rng)
+        radial = 0.8 * draws / np.linalg.norm(draws, axis=1, keepdims=True)
+        assert np.allclose(points, radial, atol=1e-9)
+        assert np.allclose(h_gammas, 2 / 0.8 - 0.8, atol=1e-9)
 
 
 class TestDerivativeFallbacks:

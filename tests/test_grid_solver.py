@@ -16,7 +16,7 @@ import oucontract
 from oucontract import solver
 from oucontract.contract import make_bump
 from oucontract.domains import LevelSetDomain, ball, halfspace
-from oucontract.gauss import hermite_poly
+from oucontract.gauss import density_1d, hermite_poly
 from oucontract.grid import GaussianGrid, ScalarField, _shifted, discrete_gradient
 from oucontract.solver import (
     ResolventJob,
@@ -341,24 +341,41 @@ class TestDiscreteGradient:
         assert g[idx] == pytest.approx((0.0 - 1.0) / 0.5)
 
 
-class TestFromCallable:
+def meshgrid_coordinates(grid):
+    """node_coordinates() as a meshgrid of the axes, flattened in C order."""
+    grids = np.meshgrid(*grid.axes, indexing="ij")
+    return np.column_stack([g.reshape(-1) for g in grids])
+
+
+def broadcast_weights(grid):
+    """node_weights() as per-axis densities broadcast over the grid shape."""
+    w = np.ones(grid.shape)
+    for a in range(grid.dim):
+        view = [None] * grid.dim
+        view[a] = slice(None)
+        w = w * density_1d(grid.axes[a])[tuple(view)]
+    return w * float(np.prod(grid.h))
+
+
+class TestGathers:
     @pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
-    def test_bitwise_equal_to_node_coordinates(self, name):
+    def test_bitwise_equal_to_meshgrid_and_broadcast(self, name):
         grid = GRADIENT_GRIDS[name]()
-        seen = []
+        coords, weights = meshgrid_coordinates(grid), broadcast_weights(grid)
+        assert grid.node_coordinates().tobytes() == coords.tobytes()
+        assert grid.node_coordinates().shape == (grid.n_nodes, grid.dim)
+        assert grid.node_weights().tobytes() == weights.tobytes()
+        assert grid.node_weights().shape == grid.shape
+        rng = np.random.default_rng(9)
+        for nodes in (np.flatnonzero(grid.interior), rng.integers(0, grid.n_nodes, 50),
+                      np.array([grid.n_nodes - 1, 0, 0]), np.array([], dtype=np.intp)):
+            got = grid.node_coordinates(nodes)
+            assert got.shape == (nodes.size, grid.dim)
+            assert got.tobytes() == coords[nodes].tobytes()
+            assert grid.node_weights(nodes).tobytes() == weights.reshape(-1)[nodes].tobytes()
 
-        def f(p):
-            seen.append(p.copy())
-            return np.sin(p @ np.arange(1.0, grid.dim + 1.0)) + p[:, 0] ** 3
 
-        got = ScalarField.from_callable(grid, f)
-        flat_interior = grid.interior.reshape(-1)
-        pts = grid.node_coordinates()[flat_interior]
-        want = np.zeros(grid.n_nodes)
-        want[flat_interior] = f(pts)
-        assert seen[0].tobytes() == pts.tobytes() and seen[0].shape == pts.shape
-        assert got.values.tobytes() == want.reshape(grid.shape).tobytes()
-
+class TestFromCallable:
     def test_empty_interior_calls_nothing(self):
         grid = GaussianGrid.build(halfspace(2, 9.0), 0, 1, 0.25)
         assert grid.n_interior == 0
@@ -382,17 +399,6 @@ class TestAssembly:
         for _ in range(50):
             v = rng.standard_normal(op.n_unknowns)
             assert v @ (op.matrix @ v) >= (1.0 - 1e-12) * (v @ v)
-
-    def test_weighted_symmetry_in_original_variables(self):
-        grid = GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.1)
-        op = assemble_ou_operator(grid, 0.5)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            f = ScalarField(grid, rng.standard_normal(grid.shape))
-            g = ScalarField(grid, rng.standard_normal(grid.shape))
-            lhs = op.weighted_inner(op.apply(f), g)
-            rhs = op.weighted_inner(f, op.apply(g))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_negative_sigma_rejected(self, halfline_grid):
         with pytest.raises(ValueError):
@@ -453,13 +459,6 @@ class TestCsrAssembly:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()  # -0.0 couplings at sigma = 0 too
 
-    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRIDS))
-    def test_sqrt_w_bitwise_equal_to_node_weights(self, name):
-        grid = ASSEMBLY_GRIDS[name]()
-        op = assemble_ou_operator(grid, 1.0)
-        want = np.sqrt(grid.node_weights()[grid.interior])
-        assert op.sqrt_w.tobytes() == want.tobytes()
-
     def test_assembly_transient_within_bound(self):
         # the COO construction's row, column and value lists, their
         # concatenation and the conversion peaked at 5.3x the result here
@@ -477,7 +476,85 @@ class TestCsrAssembly:
         assert peak <= 3.5 * kept, peak / kept
 
 
+def ou_apply_reference(field):
+    """discrete_ou_apply as written with broadcast face ratios and fresh products."""
+    grid = field.grid
+    u = field.values
+    out = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        h = grid.h[a]
+        up, dn = solver._axis_face_ratios(grid, a)
+        view = [None] * grid.dim
+        view[a] = slice(None)
+        up_b = np.broadcast_to(up[tuple(view)], grid.shape)
+        dn_b = np.broadcast_to(dn[tuple(view)], grid.shape)
+        u_up = _shifted(u, a, +1)
+        u_dn = _shifted(u, a, -1)
+        out += (up_b * (u_up - u) + dn_b * (u_dn - u)) / h**2
+    out[~grid.interior] = 0.0
+    return out
+
+
+# x - sigma*L_h f against the assembled operator: a halfspace reaching the
+# box edge, a finely resolved disk and a 3-D ball
+OPERATOR_GRIDS = {
+    "halfspace-2d": lambda: GaussianGrid.build(halfspace(2, 1.0), -8, 8, 0.1),
+    "disk": lambda: GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.025),
+    "ball-3d": lambda: GaussianGrid.build(ball(3, 2.0), -2.4, 2.4, 0.2),
+}
+
+
 class TestOuApply:
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
+    def test_equals_assembled_operator(self, name, sigma):
+        # A is W^(1/2) (I - sigma*L_h) W^(-1/2) on the unknowns, so at every
+        # unknown x - sigma*L_h f = (A (x sqrt_w)) / sqrt_w for f pinned to 0
+        grid = OPERATOR_GRIDS[name]()
+        f = ScalarField(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        op = assemble_ou_operator(grid, sigma)
+        x = f.flat()[op.interior_flat]
+        lhs = x - sigma * discrete_ou_apply(f).flat()[op.interior_flat]
+        rhs = (op.matrix @ (x * op.sqrt_w)) / op.sqrt_w
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_weighted_symmetry_in_original_variables(self):
+        # sum w (L_h f) g = sum w f (L_h g) for fields pinned to 0 outside O
+        grid = GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.1)
+        w = grid.node_weights()
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            f = ScalarField(grid, rng.standard_normal(grid.shape))
+            g = ScalarField(grid, rng.standard_normal(grid.shape))
+            lhs = float(np.sum(w * discrete_ou_apply(f).values * g.values))
+            rhs = float(np.sum(w * f.values * discrete_ou_apply(g).values))
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_GRIDS))
+    def test_bitwise_equal_to_broadcast_products(self, name):
+        grid = GRADIENT_GRIDS[name]()
+        values = np.random.default_rng(5).standard_normal(grid.shape)
+        flat = values.reshape(-1)
+        flat[::7] = 0.0
+        flat[3::11] = -0.0
+        field = ScalarField(grid, values)
+        got = discrete_ou_apply(field).values
+        assert got.tobytes() == ou_apply_reference(field).tobytes()
+
+    def test_transient_within_bound(self):
+        # broadcast face ratios times fresh differences peaked at 5.0x the
+        # result here, and in-place differences kept past their axis at 4.0x
+        grid = GaussianGrid.build(None, -6, 6, 0.15, dim=3)
+        assert grid.shape == (81, 81, 81)
+        field = ScalarField.from_callable(grid, lambda p: np.exp(-np.sum(p * p, axis=1)))
+        tracemalloc.start()
+        try:
+            out = discrete_ou_apply(field).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * out.nbytes, peak / out.nbytes
+
     def test_kernel_contains_constants(self, line_grid):
         f = ScalarField.from_callable(line_grid, lambda p: np.ones(p.shape[0]))
         lf = discrete_ou_apply(f)
