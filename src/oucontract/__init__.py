@@ -14,9 +14,10 @@ from .gauss import (
 )
 from .domains import (
     BoundaryPoint,
+    CurvatureAudit,
     LevelSetDomain,
     ball,
-    curvature_sign_scan,
+    curvature_audit,
     domain_from_spec,
     ellipsoid,
     epigraph,

@@ -33,7 +33,7 @@ from .contract import (
     default_contract_tol,
     make_bump,
 )
-from .domains import LevelSetDomain, curvature_sign_scan, domain_from_spec
+from .domains import LevelSetDomain, curvature_audit, domain_from_spec
 from .feynman_kac import KilledPathEstimator, mc_resolvent
 from .gauss import hermite_poly
 from .grid import GaussianGrid, ScalarField
@@ -275,16 +275,17 @@ def suite_curvature(cfg, seed) -> SuiteReport:
     hist_rows = []
     for k, dspec in enumerate(cfg["domains"]):
         dom = build_domain(dspec)
-        scan = curvature_sign_scan(dom, cfg["n_samples"], seed + k, tol=tol)
+        audit = curvature_audit(dom, cfg["n_samples"], np.random.default_rng(seed + k),
+                                tol=tol)
         rep.add(CheckRecord(
             name=f"curvature-nonnegative:{dom.name}",
-            observed=scan.min_value,
+            observed=audit.min_h_gamma,
             bound=-tol,
-            passed=scan.nonnegative,
+            passed=audit.ok,
             asserted=bool(dspec.get("assert_nonnegative", False)),
             inputs={"domain": dspec, "n_samples": cfg["n_samples"], "seed": seed + k},
         ))
-        hist_rows.extend([[dom.name, float(v)] for v in scan.values])
+        hist_rows.extend([[dom.name, float(v)] for v in audit.values])
     rep.tables["curvature_values"] = Table(
         "sampled Gaussian boundary curvature values per domain",
         ["domain", "h_gamma"], hist_rows,

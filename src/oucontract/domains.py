@@ -243,59 +243,64 @@ def project_to_boundary(
     return BoundaryPoint(x, outer_normal(dom, x), gx)
 
 
-def sample_boundary(dom: LevelSetDomain, n_samples: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary projections of n_samples standard normal draws of rng.
-
-    Returns the (n_samples, dim) points and Hgamma at each.  Each sample
-    draws dim normals in turn, so a generator in a given state yields the
-    same points to every caller.
-    """
-    points = np.empty((n_samples, dom.dim))
-    h_gammas = np.empty(n_samples)
-    for i in range(n_samples):
-        bp = project_to_boundary(dom, rng.standard_normal(dom.dim))
-        points[i] = bp.x
-        h_gammas[i] = gaussian_curvature(dom, bp.x)
-    return points, h_gammas
-
-
 @dataclass
-class CurvatureScan:
-    """Result of sampling Hgamma over the boundary."""
+class CurvatureAudit:
+    """Hgamma sampled over the boundary and compared with an analytic bound.
 
-    min_value: float
-    argmin: np.ndarray
-    n_violations: int
-    n_samples: int
+    ``values`` holds Hgamma at the (n, dim) ``points`` and ``grads`` holds
+    grad G there.  The bound is Hgamma >= numerator / |grad G|; a sign scan
+    is the case numerator = 0, whose slack is Hgamma itself.  ``failures``
+    names the premises of the bound that did not hold.
+    """
+
     values: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False)
+    grads: np.ndarray = field(repr=False)
+    numerator: float
+    tol: float
+    failures: list[str] = field(default_factory=list)
 
     @property
-    def nonnegative(self) -> bool:
-        return self.n_violations == 0
+    def min_h_gamma(self) -> float:
+        return float(np.min(self.values))
+
+    @property
+    def min_bound_slack(self) -> float:
+        """min over samples of Hgamma - numerator / |grad G|."""
+        norms = np.linalg.norm(self.grads, axis=1)
+        return float(np.min(self.values - self.numerator / norms))
+
+    @property
+    def ok(self) -> bool:
+        return (not self.failures and self.min_h_gamma >= -self.tol
+                and self.min_bound_slack >= -self.tol)
 
 
-def curvature_sign_scan(
+def curvature_audit(
     dom: LevelSetDomain,
     n_samples: int,
-    seed: int,
+    rng: np.random.Generator,
     tol: float = 0.0,
-) -> CurvatureScan:
-    """Project Gaussian draws to the boundary and record min Hgamma.
+    numerator: float = 0.0,
+) -> CurvatureAudit:
+    """Project standard normal draws of rng to the boundary and audit Hgamma.
 
-    A sample counts as a violation when Hgamma < -tol.
+    Each sample draws dim normals in turn, so a generator in a given state
+    yields the same points to every caller.  At each projection the audit
+    records Hgamma and grad G; it passes when every Hgamma and every
+    Hgamma - numerator/|grad G| is >= -tol.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    points, values = sample_boundary(dom, n_samples, np.random.default_rng(seed))
-    k = int(np.argmin(values))
-    return CurvatureScan(
-        min_value=float(values[k]),
-        argmin=points[k],
-        n_violations=int(np.sum(values < -tol)),
-        n_samples=n_samples,
-        values=values,
-    )
+    points = np.empty((n_samples, dom.dim))
+    grads = np.empty((n_samples, dom.dim))
+    values = np.empty(n_samples)
+    for i in range(n_samples):
+        x = project_to_boundary(dom, rng.standard_normal(dom.dim)).x
+        points[i] = x
+        grads[i] = dom.gradient(x)
+        values[i] = gaussian_curvature(dom, x)
+    return CurvatureAudit(values, points, grads, numerator, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -269,9 +269,6 @@ class ScalarField:
     def zeros(cls, grid: GaussianGrid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 

@@ -118,8 +118,9 @@ def emit_plotdata(report: SuiteReport, out_dir) -> list[Path]:
     """Figure-kind CSVs extracted from a report's tables.
 
     Emits whatever of the four standard kinds the suite produced:
-    ratio-vs-sigma, ratio-vs-p, D_n-vs-n, Hgamma histogram.  Unknown
-    suites yield header-only files from their raw tables.
+    ratio-vs-sigma, ratio-vs-p, D_n-vs-n, Hgamma histogram.  A suite with
+    none of them gets a full copy of each of its tables, and one with no
+    table a header-only ``empty.csv``.
     """
     out = Path(out_dir) / "plotdata"
     out.mkdir(parents=True, exist_ok=True)

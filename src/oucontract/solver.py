@@ -275,7 +275,7 @@ def export_solution_csv(sol: ResolventSolution, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(grid.dim)] + ["u", "grad_norm"])
         for x, u, g in zip(grid.node_coordinates(nodes), sol.u.flat()[nodes], gnorm):
-            writer.writerow([repr(c) for c in x] + [repr(float(u)), repr(float(g))])
+            writer.writerow([repr(float(c)) for c in x] + [repr(float(u)), repr(float(g))])
 
 
 def export_diagnostics_json(sol: ResolventSolution, path) -> None:

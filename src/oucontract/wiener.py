@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .contract import BumpFunction
-from .domains import LevelSetDomain, epigraph, sample_boundary
+from .domains import CurvatureAudit, LevelSetDomain, curvature_audit, epigraph
 from .gauss import gauss_hermite_rule
 from .grid import GaussianGrid, ScalarField, discrete_gradient
 from .solver import ResolventJob, solve_resolvent
@@ -220,19 +220,10 @@ def _horner(x, c):
 
 
 def _rational_funcs(num, den):
-    """g = P/Q with g' and g'' by the quotient rule.
-
-    A constant Q = q0 needs no quotient rule: g, g', g'' are P/q0, P'/q0
-    and P''/q0, evaluated without touching Q.
-    """
+    """g = P/Q with g' and g'' by the quotient rule."""
     p = np.asarray(num, dtype=float)
     q = np.asarray(den, dtype=float)
     der = np.polynomial.polynomial.polyder
-    if q.size == 1:
-        c0 = p / q[0]
-        c1, c2 = der(c0), der(c0, 2)
-        return (lambda x: _horner(x, c0), lambda x: _horner(x, c1),
-                lambda x: _horner(x, c2))
     p1, p2 = der(p), der(p, 2)
     q1, q2 = der(q), der(q, 2)
 
@@ -355,24 +346,6 @@ def pathwise_level_value(spec: FunctionalSpec, basis: KLBasis, coeffs) -> float:
     return float(np.atleast_1d(vals)[0]) - spec.r
 
 
-@dataclass
-class CurvatureAudit:
-    min_h_gamma: float
-    min_bound_slack: float       # min over samples of (Hgamma - lower bound)
-    first_coord_min: float
-    first_coord_floor: float
-    n_samples: int
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.min_h_gamma >= -self.tol
-            and self.min_bound_slack >= -self.tol
-            and self.first_coord_min >= self.first_coord_floor
-        )
-
-
 def cylindrical_curvature_audit(
     spec: FunctionalSpec,
     basis: KLBasis,
@@ -387,25 +360,18 @@ def cylindrical_curvature_audit(
 
         (-sup|g''| * I_f - alpha2 r - beta2) / |grad G_m(x)|,
 
-    and records |dG/dxi_1|, which must stay above c * |integral h_1 ds|
-    (the profile's slope never vanishes and h_1 has one sign).
+    and fails the premise ``"first_coord_floor"`` when |dG/dxi_1| falls below
+    c * |integral h_1 ds| - tol (the profile's slope never vanishes and h_1
+    has one sign).
     """
     if basis.m > 4:
         raise ValueError("curvature audits are limited to truncations m <= 4")
     dom = cylindrical_domain(spec, basis)
-    numer = spec.threshold_slack()
-    floor = spec.c * abs(basis.h1_integral())
-    points, h_gammas = sample_boundary(dom, n_samples, np.random.default_rng(seed))
-    grads = np.array([dom.gradient(x) for x in points])
-    slacks = h_gammas - numer / np.linalg.norm(grads, axis=1)
-    return CurvatureAudit(
-        min_h_gamma=float(np.min(h_gammas)),
-        min_bound_slack=float(np.min(slacks)),
-        first_coord_min=float(np.min(np.abs(grads[:, 0]))),
-        first_coord_floor=floor - tol,
-        n_samples=n_samples,
-        tol=tol,
-    )
+    audit = curvature_audit(dom, n_samples, np.random.default_rng(seed), tol,
+                            spec.threshold_slack())
+    if np.min(np.abs(audit.grads[:, 0])) < spec.c * abs(basis.h1_integral()) - tol:
+        audit.failures.append("first_coord_floor")
+    return audit
 
 
 # ---------------------------------------------------------------------------
@@ -498,36 +464,21 @@ def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:
                     grad_floor=0.5, name=spec.name)
 
 
-@dataclass
-class EpigraphAudit:
-    constants_ok: bool
-    constant_failures: list[str]
-    min_h_gamma: float
-    min_bound_slack: float
-    n_samples: int
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.constants_ok
-            and self.min_h_gamma >= -self.tol
-            and self.min_bound_slack >= -self.tol
-        )
-
-
 def epigraph_curvature_audit(
     spec: EpigraphSpec,
     m: int,
     n_samples: int,
     seed: int,
     tol: float = 1e-6,
-) -> EpigraphAudit:
-    """Validate the declared constants on samples, then audit the boundary."""
-    if spec.margin() < 0:
-        return EpigraphAudit(False, ["margin"], math.nan, math.nan, 0, tol)
+) -> CurvatureAudit:
+    """Validate the declared constants on samples, then audit the boundary.
+
+    The boundary bound is Hgamma >= spec.margin() / |grad G|; a negative
+    margin or a declared constant that a sample contradicts is a failed
+    premise.
+    """
     rng = np.random.default_rng(seed)
-    failures = []
+    failures = [] if spec.margin() >= 0 else ["margin"]
     samples = rng.standard_normal((max(n_samples, 8), m - 1))
     phi_vals = np.asarray(spec.phi(samples))
     if np.any(phi_vals < spec.C - tol):
@@ -544,15 +495,10 @@ def epigraph_curvature_audit(
         if np.linalg.norm(hess, 2) > spec.C3 + tol:
             failures.append("hessian_operator")
             break
-    if failures:
-        return EpigraphAudit(False, failures, math.nan, math.nan, 0, tol)
-
-    dom = epigraph_domain(spec, m)
-    points, h_gammas = sample_boundary(dom, n_samples, rng)
-    grads = np.array([dom.gradient(x) for x in points])
-    slacks = h_gammas - spec.margin() / np.linalg.norm(grads, axis=1)
-    return EpigraphAudit(True, [], float(np.min(h_gammas)), float(np.min(slacks)),
-                         n_samples, tol)
+    audit = curvature_audit(epigraph_domain(spec, m), n_samples, rng, tol,
+                            spec.margin())
+    audit.failures.extend(failures)
+    return audit
 
 
 # ---------------------------------------------------------------------------

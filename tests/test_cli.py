@@ -398,8 +398,12 @@ class TestReports:
     def test_solve_suite_exports(self, tmp_path):
         rep = run_suite("solve", DEFAULT_CONFIGS["solve"], tmp_path, seed=1)
         assert rep.ok
-        assert (tmp_path / "solution.csv").exists()
         assert (tmp_path / "solve_diagnostics.json").exists()
+        # every field below the header is a plain number, coordinates included
+        header, *rows = (tmp_path / "solution.csv").read_text().splitlines()
+        assert header == "x0,u,grad_norm" and rows
+        for row in rows:
+            assert len([float(v) for v in row.split(",")]) == 3
 
     def test_curvature_histogram_plotdata(self, tmp_path):
         run_suite("curvature", small_curvature_cfg(0.9), tmp_path, seed=5)

@@ -6,7 +6,7 @@ from oucontract.domains import (
     LevelSetDomain,
     ProjectionError,
     ball,
-    curvature_sign_scan,
+    curvature_audit,
     domain_from_spec,
     ellipsoid,
     epigraph,
@@ -16,7 +16,6 @@ from oucontract.domains import (
     polynomial_domain,
     project_to_boundary,
     rotated,
-    sample_boundary,
 )
 
 
@@ -131,32 +130,49 @@ class TestProjection:
             project_to_boundary(whole, np.array([0.0]))
 
 
-class TestCurvatureScan:
+class TestCurvatureAudit:
     def test_small_ball_nonnegative(self):
-        scan = curvature_sign_scan(ball(2, 0.9), 60, seed=3)
-        assert scan.n_violations == 0
-        assert scan.min_value == pytest.approx(1 / 0.9 - 0.9, abs=1e-9)
+        audit = curvature_audit(ball(2, 0.9), 60, np.random.default_rng(3))
+        assert audit.ok and not audit.failures
+        assert audit.min_h_gamma == pytest.approx(1 / 0.9 - 0.9, abs=1e-9)
 
     def test_large_ball_all_violations(self):
-        scan = curvature_sign_scan(ball(2, 1.5), 40, seed=4)
-        assert scan.n_violations == scan.n_samples
-        assert scan.min_value == pytest.approx(1 / 1.5 - 1.5, abs=1e-9)
+        audit = curvature_audit(ball(2, 1.5), 40, np.random.default_rng(4))
+        assert not audit.ok
+        assert np.all(audit.values < 0.0) and audit.values.size == 40
+        assert audit.min_h_gamma == pytest.approx(1 / 1.5 - 1.5, abs=1e-9)
+        # numerator 0: the bound is Hgamma >= 0, so the slack is Hgamma bit for bit
+        assert audit.min_bound_slack == audit.min_h_gamma
 
     def test_halfspace_through_origin(self):
-        scan = curvature_sign_scan(halfspace(2, 0.0), 40, seed=5, tol=1e-12)
-        assert scan.n_violations == 0
-        assert scan.min_value == pytest.approx(0.0, abs=1e-10)
+        audit = curvature_audit(halfspace(2, 0.0), 40, np.random.default_rng(5),
+                                tol=1e-12)
+        assert audit.ok
+        assert audit.min_h_gamma == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("numerator,ok", [(0.5, True), (1.5, False)])
+    def test_analytic_bound_on_halfspace(self, numerator, ok):
+        # Hgamma = 1 and |grad G| = 1 on {x_1 < -1}: the slack is 1 - numerator,
+        # so the bound holds at 0.5 and fails at 1.5 with every Hgamma >= 0
+        audit = curvature_audit(halfspace(2, 1.0), 12, np.random.default_rng(7),
+                                numerator=numerator)
+        assert audit.min_h_gamma == pytest.approx(1.0, abs=1e-12)
+        assert audit.min_bound_slack == pytest.approx(1.0 - numerator, abs=1e-12)
+        assert audit.ok is ok
 
-class TestSampleBoundary:
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            curvature_audit(ball(2, 0.9), 0, np.random.default_rng(3))
+
     def test_points_on_the_ray_of_each_draw(self):
-        # on a ball the projection of a draw z is the radial point R z/|z|
-        rng = np.random.default_rng(8)
+        # on a ball the projection of a draw z is the radial point R z/|z|,
+        # where grad G = 2x
         draws = np.random.default_rng(8).standard_normal((12, 3))
-        points, h_gammas = sample_boundary(ball(3, 0.8), 12, rng)
+        audit = curvature_audit(ball(3, 0.8), 12, np.random.default_rng(8))
         radial = 0.8 * draws / np.linalg.norm(draws, axis=1, keepdims=True)
-        assert np.allclose(points, radial, atol=1e-9)
-        assert np.allclose(h_gammas, 2 / 0.8 - 0.8, atol=1e-9)
+        assert np.allclose(audit.points, radial, atol=1e-9)
+        assert np.array_equal(audit.grads, 2.0 * audit.points)
+        assert np.allclose(audit.values, 2 / 0.8 - 0.8, atol=1e-9)
 
 
 class TestDerivativeFallbacks:

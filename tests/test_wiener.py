@@ -236,17 +236,22 @@ class TestCurvatureAudits:
         audit = cylindrical_curvature_audit(spec, basis, 32, seed=2, tol=1e-6)
         assert audit.ok
         assert audit.min_h_gamma >= -1e-6
-        assert audit.first_coord_min >= audit.first_coord_floor
+        assert audit.failures == []
 
-    def test_audit_below_slope_floor_fails(self):
-        # the affine audit passes with |dG/dxi_1| at its floor c*|int h_1 ds|;
-        # the same audit with that slope halved, still positive, must fail
-        audit = cylindrical_curvature_audit(affine_level_spec(r=-1.0),
-                                            KLBasis.build(BM, 2), 32, seed=2)
-        assert audit.ok
-        low = dataclasses.replace(audit, first_coord_min=audit.first_coord_min / 2)
-        assert 0.0 < low.first_coord_min < low.first_coord_floor
-        assert not low.ok
+    def test_audit_below_slope_floor_fails(self, monkeypatch):
+        # the affine profile g = xi has |dG/dxi_1| = int h_1 ds exactly; a spec
+        # declaring c = 2 (accepted by a patched validation) puts the floor at
+        # twice that, so only the slope-floor premise fails
+        spec = dataclasses.replace(affine_level_spec(r=-1.0), c=2.0)
+        monkeypatch.setattr(wiener, "validate_functional",
+                            lambda s: wiener.ValidationReport(True, [], {}))
+        basis = KLBasis.build(BM, 2)
+        audit = cylindrical_curvature_audit(spec, basis, 32, seed=2)
+        slope = np.min(np.abs(audit.grads[:, 0]))
+        assert 0.0 < slope < 2.0 * basis.h1_integral() - audit.tol
+        assert min(audit.min_h_gamma, audit.min_bound_slack) >= -audit.tol
+        assert audit.failures == ["first_coord_floor"]
+        assert not audit.ok
 
     def test_audit_at_max_truncation(self):
         basis = KLBasis.build(BM, 4)
@@ -281,7 +286,15 @@ class TestCurvatureAudits:
                            C=3.0, C1=spec.C1, C2=spec.C2, C3=spec.C3)
         audit = epigraph_curvature_audit(lying, 3, 24, seed=4)
         assert not audit.ok
-        assert "phi_floor" in audit.constant_failures
+        assert "phi_floor" in audit.failures
+
+    def test_epigraph_negative_margin_fails(self):
+        # Phi = -1 gives the halfspace {xi_1 < 1}, where Hgamma = -1 everywhere;
+        # the boundary is still sampled, so the failing audit reports it
+        audit = epigraph_curvature_audit(constant_epigraph(-1.0), 2, 8, seed=4)
+        assert audit.failures == ["margin"]
+        assert not audit.ok
+        assert audit.min_h_gamma == pytest.approx(-1.0, abs=1e-10)
 
 
 class TestConvergenceStudy:
