@@ -6,7 +6,8 @@ defaults here key by key) and ``--seed``; ``--out`` only says where it is
 written.  Every suite takes (config, seed) and reports each bound exactly
 as its config states it, so a run is reproducible from its own report.
 Exit codes: 0 all asserted checks pass, 1 at least one asserted check
-failed, 2 configuration could not be loaded.
+failed, 2 configuration could not be loaded, holds a key the suite does not
+know or an invalid value.
 """
 
 from __future__ import annotations
@@ -22,46 +23,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .contract import (
-    ContractRecord,
-    boundary_flux_integral,
-    boundary_probes,
-    check_boundary_normal_slope,
-    check_pointwise_inequality,
-    contractivity_sweep,
-    default_contract_tol,
-    make_bump,
-)
-from .domains import LevelSetDomain, curvature_audit, domain_from_spec
-from .feynman_kac import KilledPathEstimator, mc_resolvent
-from .gauss import hermite_poly
+from . import __version__, contract, domains, gauss, report, solver, wiener
+from .contract import ContractRecord
+from .domains import LevelSetDomain
+from .feynman_kac import KilledPathEstimator
 from .grid import GaussianGrid, ScalarField
-from .report import CheckRecord, SuiteReport, Table, emit_plotdata
-from .solver import (
-    ResolventJob,
-    export_diagnostics_json,
-    export_solution_csv,
-    solve_resolvent,
-)
-from .wiener import (
-    BRIDGE,
-    BM,
-    KLBasis,
-    affine_level_spec,
-    basel_partial_sum,
-    constant_epigraph,
-    cylindrical_curvature_audit,
-    cylindrical_domain,
-    epigraph_curvature_audit,
-    epigraph_domain,
-    epigraph_spec_from_dict,
-    gauss_ridge_epigraph,
-    rational_reference_spec,
-    resolvent_convergence_study,
-    trace_density,
-    validate_functional,
-)
+from .report import CheckRecord, SuiteReport, Table
+from .solver import ResolventJob
+from .wiener import BRIDGE, BM, KLBasis
+
+# bench/worker.py taps these three names on cli and unpacks the calls it records
+from .contract import check_pointwise_inequality
+from .feynman_kac import mc_resolvent
+from .solver import solve_resolvent
 
 DEFAULT_SEED = 20260801
 SIGMA_ZERO = 1e-4
@@ -196,9 +170,9 @@ DEFAULT_CONFIGS: dict[str, dict] = {
 }
 
 _SHIPPED_SPECS = {
-    "affine": lambda: affine_level_spec(r=-1.0, kind=BM),
-    "reference_bm": lambda: rational_reference_spec(kind=BM, r=-0.75),
-    "reference_bridge": lambda: rational_reference_spec(kind=BRIDGE, r=-0.75),
+    "affine": lambda: wiener.affine_level_spec(r=-1.0, kind=BM),
+    "reference_bm": lambda: wiener.rational_reference_spec(kind=BM, r=-0.75),
+    "reference_bridge": lambda: wiener.rational_reference_spec(kind=BRIDGE, r=-0.75),
 }
 
 
@@ -212,17 +186,17 @@ def build_domain(spec: dict) -> LevelSetDomain:
     if spec.get("type") == "cylindrical":
         fs = _SHIPPED_SPECS[spec["spec"]]()
         basis = KLBasis.build(fs.kind, int(spec["m"]))
-        return cylindrical_domain(fs, basis)
+        return wiener.cylindrical_domain(fs, basis)
     if spec.get("type") == "epigraph":
-        return epigraph_domain(epigraph_spec_from_dict(spec["parameters"]),
-                               int(spec["dim"]))
-    return domain_from_spec(spec)
+        return wiener.epigraph_domain(wiener.epigraph_spec_from_dict(spec["parameters"]),
+                                      int(spec["dim"]))
+    return domains.domain_from_spec(spec)
 
 
 def _sweep_setup(sweep_cfg):
     """A sweep's domain, its bumps, and a builder of its grid at spacing h."""
     dom = build_domain(sweep_cfg["domain"])
-    bumps = [make_bump(dom, b["center"], b["radius"], b["margin"], label=f"bump{i}")
+    bumps = [contract.make_bump(dom, b["center"], b["radius"], b["margin"], label=f"bump{i}")
              for i, b in enumerate(sweep_cfg["bumps"])]
     g = sweep_cfg["grid"]
     return dom, bumps, lambda h: GaussianGrid.build(dom, g["lo"], g["hi"], h,
@@ -275,8 +249,8 @@ def suite_curvature(cfg, seed) -> SuiteReport:
     hist_rows = []
     for k, dspec in enumerate(cfg["domains"]):
         dom = build_domain(dspec)
-        audit = curvature_audit(dom, cfg["n_samples"], np.random.default_rng(seed + k),
-                                tol=tol)
+        audit = domains.curvature_audit(dom, cfg["n_samples"],
+                                        np.random.default_rng(seed + k), tol=tol)
         rep.add(CheckRecord(
             name=f"curvature-nonnegative:{dom.name}",
             observed=audit.min_h_gamma,
@@ -286,7 +260,7 @@ def suite_curvature(cfg, seed) -> SuiteReport:
             inputs={"domain": dspec, "n_samples": cfg["n_samples"], "seed": seed + k},
         ))
         hist_rows.extend([[dom.name, float(v)] for v in audit.values])
-    rep.tables["curvature_values"] = Table(
+    rep.tables["curvature_values"] = rep.plots["hgamma_histogram"] = Table(
         "sampled Gaussian boundary curvature values per domain",
         ["domain", "h_gamma"], hist_rows,
     )
@@ -299,11 +273,11 @@ def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
     grid = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g.get("dim", 1))
     k = cfg["hermite_degree"]
     sigma = cfg["sigma"]
-    rhs = ScalarField.from_callable(grid, lambda pts: hermite_poly(k, pts[:, 0]))
+    rhs = ScalarField.from_callable(grid, lambda pts: gauss.hermite_poly(k, pts[:, 0]))
     sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=cfg["solver_tol"])
     coords = grid.node_coordinates()[:, 0]
     window = np.abs(coords) <= cfg["oracle_window"]
-    exact = hermite_poly(k, coords) / (1.0 + sigma * k)
+    exact = gauss.hermite_poly(k, coords) / (1.0 + sigma * k)
     err = float(np.max(np.abs(sol.u.flat()[window] - exact[window])))
     tol = cfg["oracle_tol"]
     rep.add(CheckRecord(
@@ -318,14 +292,14 @@ def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
         inputs={"grid": g, "sigma": sigma},
     ))
     if out_dir is not None:
-        export_solution_csv(sol, out_dir / "solution.csv")
-        export_diagnostics_json(sol, out_dir / "solve_diagnostics.json")
+        solver.export_solution_csv(sol, out_dir / "solution.csv")
+        solver.export_diagnostics_json(sol, out_dir / "solve_diagnostics.json")
     return rep
 
 
 def suite_contract(cfg, seed) -> SuiteReport:
     rep = SuiteReport("contract", seed, cfg)
-    rows = []
+    recs = []  # every ContractRecord written, in table order
     sigma_zero = cfg["sigma_zero"]
     lo, hi_band = cfg["sigma_zero_band"]
     sols = []
@@ -336,17 +310,17 @@ def suite_contract(cfg, seed) -> SuiteReport:
         grid = grid_at(h_cfg)
         # sigma -> 0 rides along in the same sweep, solved once
         sigmas = sweep_cfg["sigmas"]
-        result = contractivity_sweep(
+        result = contract.contractivity_sweep(
             dom, grid, sigmas if sigma_zero in sigmas else sigmas + [sigma_zero],
             sweep_cfg["ps"], bumps, solver_tol=cfg["solver_tol"])
         sols.extend(result.solutions.values())
         _SOLVED_SWEEPS[_sweep_key(sweep_cfg, cfg["solver_tol"])] = (
             dom, bumps, grid, result)
-        tol = default_contract_tol(float(np.max(grid.h)))
+        tol = contract.default_contract_tol(float(np.max(grid.h)))
         asserted = bool(sweep_cfg.get("assert_contractive", False))
         excesses = {}
         for r in [r for r in result.records if r.sigma in sigmas]:
-            rows.append(list(astuple(r)))
+            recs.append(r)
             rep.add(CheckRecord(
                 name=f"contract:{sweep}:{r.bump}:sigma={r.sigma}:p={r.p}",
                 observed=r.ratio, bound=1.0 + tol,
@@ -361,13 +335,13 @@ def suite_contract(cfg, seed) -> SuiteReport:
         # an excess over 1 must at least halve at h/2: solve only its sigmas, bumps
         if excesses:
             labels = {bump for bump, _, _ in excesses}
-            halved = contractivity_sweep(
+            halved = contract.contractivity_sweep(
                 dom, grid_at(h_cfg / 2.0), sorted({s for _, s, _ in excesses}),
                 sweep_cfg["ps"], [b for b in bumps if b.label in labels],
                 solver_tol=cfg["solver_tol"])
             sols.extend(halved.solutions.values())
+            recs.extend(halved.records)
             for r in halved.records:
-                rows.append(list(astuple(r)))
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p))
                 if ex_coarse is not None and r.converged:
                     ex_fine = r.ratio - 1.0
@@ -383,7 +357,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
 
         # resolvent -> identity as sigma -> 0
         for r in [r for r in result.records if r.sigma == sigma_zero]:
-            rows.append(list(astuple(r)))
+            recs.append(r)
             rep.add(CheckRecord(
                 name=f"sigma-zero:{sweep}:{r.bump}:p={r.p}",
                 observed=r.ratio, bound=hi_band,
@@ -396,7 +370,17 @@ def suite_contract(cfg, seed) -> SuiteReport:
     rep.tables["records"] = Table(
         "contractivity sweep records: Lp gradient norms of resolvent output vs input",
         [f.name for f in fields(ContractRecord)],
-        rows,
+        [list(astuple(r)) for r in recs],
+    )
+    rep.plots["ratio_vs_sigma"] = Table(
+        "gradient-norm ratio vs sigma; one row per (domain, bump, p, sigma)",
+        ["domain", "bump", "p", "sigma", "ratio"],
+        [[r.domain, r.bump, r.p, r.sigma, r.ratio] for r in recs],
+    )
+    rep.plots["ratio_vs_p"] = Table(
+        "gradient-norm ratio vs p; one row per (domain, bump, sigma, p)",
+        ["domain", "bump", "sigma", "p", "ratio"],
+        [[r.domain, r.bump, r.sigma, r.p, r.ratio] for r in recs],
     )
     rep.profile.update(_solve_counters(sols), solutions_reused=0)
     return rep
@@ -416,14 +400,14 @@ def suite_lemma(cfg, seed) -> SuiteReport:
             dom, bumps, grid_at = _sweep_setup(sweep_cfg)
             grid = grid_at(sweep_cfg["grid"]["h"])
             # the (sigma, bump) solutions alone: no p, so no ratio records
-            result = contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
-                                         solver_tol=cfg["solver_tol"])
+            result = contract.contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
+                                                  solver_tol=cfg["solver_tol"])
             sols.extend(result.solutions.values())
         h = float(np.max(grid.h))
         p_tol = cfg["pointwise_tol_h"] * h
         s_tol = cfg["slope_tol_h"] * h
         f_tol = cfg["flux_tol_h"] * h
-        probes = boundary_probes(grid, dom, cfg["n_boundary_samples"], seed)
+        probes = contract.boundary_probes(grid, dom, cfg["n_boundary_samples"], seed)
         for sigma in sweep_cfg["sigmas"]:
             for bump in bumps:
                 sol = result.solutions[(float(sigma), bump.label)]
@@ -436,7 +420,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": p_tol},
                 ))
-                slope = check_boundary_normal_slope(sol.u, probes, eps, s_tol)
+                slope = contract.check_boundary_normal_slope(sol.u, probes, eps, s_tol)
                 rep.add(CheckRecord(
                     name=f"boundary-normal-slope:{key}",
                     observed=slope.max_slope, bound=s_tol,
@@ -444,7 +428,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                             "bump": bump.label, "eps": eps, "tol": s_tol},
                 ))
-                fluxes = boundary_flux_integral(sol.u, eps, sweep_cfg["ps"])
+                fluxes = contract.boundary_flux_integral(sol.u, eps, sweep_cfg["ps"])
                 for p, val in zip(sweep_cfg["ps"], fluxes):
                     rep.add(CheckRecord(
                         name=f"boundary-flux-integral:{key}:p={p}",
@@ -468,7 +452,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
         g = case["grid"]
         grid = GaussianGrid.build(dom, g["lo"], g["hi"], g["h"], dim=g.get("dim"))
         b = case["bump"]
-        bump = make_bump(dom, b["center"], b["radius"], b["margin"])
+        bump = contract.make_bump(dom, b["center"], b["radius"], b["margin"])
         rhs = ScalarField.from_callable(grid, bump)
         sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=1e-10)
         sols.append(sol)
@@ -490,7 +474,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
                 inputs={"case": case["name"], "probe": probe,
                         "n_paths": cfg["n_paths"], "dt": cfg["dt"], "sigma": sigma},
             ))
-    rep.tables["probes"] = Table(
+    rep.tables["probes"] = rep.plots["probes"] = Table(
         "finite-difference vs killed-path Monte Carlo resolvent values",
         ["case", "probe", "fd_value", "mc_value", "mc_se"], rows,
     )
@@ -502,13 +486,13 @@ def suite_wiener(cfg, seed) -> SuiteReport:
     rep = SuiteReport("wiener", seed, cfg)
 
     m = cfg["basel_m"]
-    basel_err = abs(basel_partial_sum(m) - math.pi**2 / 2.0)
+    basel_err = abs(wiener.basel_partial_sum(m) - math.pi**2 / 2.0)
     rep.add(CheckRecord("basel-partial-sum", basel_err, cfg["basel_tol"],
                         basel_err <= cfg["basel_tol"], True, {"m": m}))
 
     mt = cfg["bm_trace_m"]
     basis = KLBasis.build(BM, 1, n_panels=max(16, mt))
-    fvals = trace_density(basis.s_nodes, mt, basis)
+    fvals = wiener.trace_density(basis.s_nodes, mt, basis)
     integral = float(fvals @ basis.s_weights)
     err = abs(integral - 0.5)
     rep.add(CheckRecord("bm-trace-integral", err, cfg["bm_trace_tol"],
@@ -517,38 +501,37 @@ def suite_wiener(cfg, seed) -> SuiteReport:
     mb = cfg["bridge_trace_m"]
     sgrid = np.linspace(0.0, 1.0, 101)
     bridge_basis = KLBasis.build(BRIDGE, 1)
-    fb = trace_density(sgrid, mb, bridge_basis)
+    fb = wiener.trace_density(sgrid, mb, bridge_basis)
     sup_err = float(np.max(np.abs(fb - (sgrid - sgrid**2))))
     rep.add(CheckRecord("bridge-trace-pointwise", sup_err, cfg["bridge_trace_tol"],
                         sup_err <= cfg["bridge_trace_tol"], True, {"m": mb}))
 
     for name, factory in _SHIPPED_SPECS.items():
-        ok = validate_functional(factory()).ok
+        ok = wiener.validate_functional(factory()).ok
         rep.add(CheckRecord(f"functional-valid:{name}", ok, True, ok,
                             True, {"spec": name}))
-    rejected = validate_functional(affine_level_spec(r=1.0))
+    rejected = wiener.validate_functional(wiener.affine_level_spec(r=1.0))
     rep.add(CheckRecord("functional-rejected:affine(r=1)", not rejected.ok, True,
                         not rejected.ok, True, {"r": 1.0}))
 
     tol = cfg["audit_tol"]
-    for name in ("affine", "reference_bm", "reference_bridge"):
-        spec = _SHIPPED_SPECS[name]()
+    for name, factory in _SHIPPED_SPECS.items():
+        spec = factory()
         for m_audit in cfg["audit_m"]:
             basis_a = KLBasis.build(spec.kind, m_audit)
-            audit = cylindrical_curvature_audit(spec, basis_a,
-                                                cfg["audit_samples"],
-                                                seed + m_audit, tol=tol)
+            audit = wiener.cylindrical_curvature_audit(spec, basis_a, cfg["audit_samples"],
+                                                       seed + m_audit, tol=tol)
             rep.add(CheckRecord(
                 f"cylindrical-audit:{name}:m={m_audit}",
                 audit.min_h_gamma, -tol, audit.ok, True,
                 {"spec": name, "m": m_audit, "samples": cfg["audit_samples"]},
             ))
 
-    for spec_e, m_e in ((constant_epigraph(2.0), 3),
-                        (constant_epigraph(0.0), 2),
-                        (gauss_ridge_epigraph(2.0, 0.5, [1.0, 0.0]), 3)):
-        audit = epigraph_curvature_audit(spec_e, m_e, cfg["audit_samples"],
-                                         seed, tol=tol)
+    for spec_e, m_e in ((wiener.constant_epigraph(2.0), 3),
+                        (wiener.constant_epigraph(0.0), 2),
+                        (wiener.gauss_ridge_epigraph(2.0, 0.5, [1.0, 0.0]), 3)):
+        audit = wiener.epigraph_curvature_audit(spec_e, m_e, cfg["audit_samples"],
+                                                seed, tol=tol)
         rep.add(CheckRecord(
             f"epigraph-audit:{spec_e.name}:m={m_e}",
             audit.min_h_gamma, -tol, audit.ok, True,
@@ -561,7 +544,7 @@ def suite_converge(cfg, seed) -> SuiteReport:
     rep = SuiteReport("converge", seed, cfg)
     spec = _SHIPPED_SPECS[cfg["spec"]]()
     rows_out = []
-    rows = resolvent_convergence_study(
+    rows = wiener.resolvent_convergence_study(
         spec, [cfg["sigma"], cfg["sigma_zero"]], cfg["dims"], cfg["bump_center"],
         cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"])
     # (sigma, n) order: the rows at sigma, then the rows at sigma_zero
@@ -588,7 +571,7 @@ def suite_converge(cfg, seed) -> SuiteReport:
             f"convergence-identity-limit:n={row.n}", row.d_l2, lim,
             row.d_l2 <= lim, True,
             {"sigma": cfg["sigma_zero"], "n": row.n}))
-    rep.tables["convergence"] = Table(
+    rep.tables["convergence"] = rep.plots["dn_vs_n"] = Table(
         "consecutive-truncation differences D_n of the Dirichlet resolvent",
         ["sigma", "n", "d_l2", "d_grad", "residual_n", "residual_n_plus_1"],
         rows_out,
@@ -626,7 +609,7 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
     rep.profile["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
-    emit_plotdata(rep, out)
+    report.emit_plotdata(rep, out)
     return rep
 
 
@@ -638,6 +621,9 @@ def _load_config(suite: str, path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ValueError(f"{path}: top level must be a JSON object, "
                              f"not {type(user).__name__}")
+        unknown = sorted(set(user) - set(cfg))
+        if unknown:
+            raise ValueError(f"{path}: unknown {suite} config keys {unknown}")
         cfg.update(user)
     return cfg
 

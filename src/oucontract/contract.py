@@ -31,14 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import LevelSetDomain, project_to_boundary, ProjectionError
-from .grid import GaussianGrid, ScalarField, discrete_gradient
-from .solver import (
-    ResolventJob,
-    assemble_ou_operator,
-    discrete_ou_apply,
-    solve_resolvent,
-)
+from . import domains, grid as grid_mod, solver
+from .domains import LevelSetDomain, ProjectionError
+from .grid import GaussianGrid, ScalarField
+from .solver import ResolventJob
 
 _SUPPORT_FLOOR = 1e-3  # below this 1 - |x-c|^2/r^2 the bump underflows to 0
 _SURROGATE_DELTA = 1e-3  # smoothing of t^p, p < 2, in boundary_flux_integral
@@ -147,7 +143,7 @@ def gradient_magnitude_fields(u: ScalarField, eps: float) -> tuple[ScalarField, 
     """(|grad u|, sqrt(eps^2 + |grad u|^2)) as nodal fields on interior nodes."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grad = discrete_gradient(u)
+    grad = grid_mod.discrete_gradient(u)
     mag = np.linalg.norm(grad, axis=-1)
     smooth = np.sqrt(eps * eps + mag * mag)
     phi = ScalarField(u.grid, mag)
@@ -215,7 +211,7 @@ def check_pointwise_inequality(
     """
     grid = u.grid
     phi, phi_eps = gradient_magnitude_fields(u, eps)
-    l_phi_eps = discrete_ou_apply(phi_eps)
+    l_phi_eps = solver.discrete_ou_apply(phi_eps)
     nodes = np.flatnonzero(grid.eroded_interior(2))
     if density_floor > 0.0:
         cell = float(np.prod(grid.h))
@@ -276,7 +272,7 @@ def boundary_probes(
     xs, nus = [], []
     for _ in range(n_samples):
         try:
-            bp = project_to_boundary(domain, rng.standard_normal(grid.dim))
+            bp = domains.project_to_boundary(domain, rng.standard_normal(grid.dim))
         except ProjectionError:
             continue
         xs.append(bp.x)
@@ -335,7 +331,7 @@ def boundary_flux_integral(u: ScalarField, eps: float, ps) -> list[float]:
     out = []
     for p in ps:
         g = convex_power_surrogate(float(p), _SURROGATE_DELTA)
-        l_psi = discrete_ou_apply(ScalarField(grid, g(phi_eps.values)))
+        l_psi = solver.discrete_ou_apply(ScalarField(grid, g(phi_eps.values)))
         out.append(float(np.sum(l_psi.flat()[nodes] * w)))
     return out
 
@@ -390,7 +386,7 @@ def gradient_lp_ratio(
     w = grid.node_weights(nodes)
     if w.size == 0 or float(np.sum(w)) <= 0.0:
         raise ValueError("region has no quadrature mass")
-    grad_u = discrete_gradient(u).reshape(-1, grid.dim)[nodes]
+    grad_u = grid_mod.discrete_gradient(u).reshape(-1, grid.dim)[nodes]
     lhs_vals = np.linalg.norm(grad_u, axis=-1)
     rhs_vals = bump.grad_norm(grid.node_coordinates(nodes))
     out = []
@@ -422,9 +418,10 @@ def contractivity_sweep(
     solutions = {}
     h_max = float(np.max(grid.h))
     for sigma in (float(s) for s in sigmas):
-        op = assemble_ou_operator(grid, sigma)
+        op = solver.assemble_ou_operator(grid, sigma)
         for bump, y in zip(bumps, ys):
-            sol = solve_resolvent(ResolventJob(grid, sigma, y), tol=solver_tol, operator=op)
+            sol = solver.solve_resolvent(ResolventJob(grid, sigma, y), tol=solver_tol,
+                                         operator=op)
             solutions[(sigma, bump.label)] = sol
             pairs = gradient_lp_ratio(sol.u, bump, ps) if len(ps) else []
             for p, (lhs, rhs) in zip(ps, pairs):

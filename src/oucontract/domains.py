@@ -33,6 +33,8 @@ _EPS = np.finfo(float).eps
 _FD_GRAD_STEP = math.sqrt(_EPS)
 _FD_HESS_STEP = _EPS ** (1.0 / 3.0)
 _BISECTION_STEPS = 100
+# new gradient rays a projection may march after one passes beside the domain
+_PROJECTION_RESTARTS = 4
 
 
 class DegenerateLevelSetError(ValueError):
@@ -177,45 +179,52 @@ def project_to_boundary(
 
     A sign change is located by linear marching along the ray
     x0 + t * u, u = grad G(x0)/|grad G(x0)|, then refined by bisection
-    with Newton polish.  Fails if no sign change is found.
+    with Newton polish.  A ray with no sign change, which can pass beside
+    an elongated domain, is marched again from its point of least |G|
+    along the gradient there, at most _PROJECTION_RESTARTS times.  Fails
+    if no ray finds a sign change.
     """
     x0 = np.asarray(x0, dtype=float)
     if tol_bd is None:
         tol_bd = default_boundary_tol(dom, x0)
-    g0 = dom.value(x0)
-    grad0 = dom.gradient(x0)
-    gnorm = float(np.linalg.norm(grad0))
-    # grad_floor is a statement about the boundary; away from it we only
-    # need a usable search direction
-    if gnorm < 1e-12:
-        raise DegenerateLevelSetError(f"degenerate level set at {x0}")
-    u = grad0 / gnorm
-    if abs(g0) <= tol_bd:
-        return BoundaryPoint(x0.copy(), outer_normal(dom, x0), g0)
+    for _ in range(_PROJECTION_RESTARTS + 1):
+        g0 = dom.value(x0)
+        grad0 = dom.gradient(x0)
+        gnorm = float(np.linalg.norm(grad0))
+        # grad_floor is a statement about the boundary; away from it we only
+        # need a usable search direction
+        if gnorm < 1e-12:
+            raise DegenerateLevelSetError(f"degenerate level set at {x0}")
+        u = grad0 / gnorm
+        if abs(g0) <= tol_bd:
+            return BoundaryPoint(x0.copy(), outer_normal(dom, x0), g0)
 
-    def line(t: float) -> float:
-        return dom.value(x0 + t * u)
-
-    # G increases along its own gradient, so march up-ray if inside, down if
-    # outside.  Linear marching (not doubling) so a bounded domain lying
-    # across the ray cannot be jumped over.
-    direction = 1.0 if g0 < 0.0 else -1.0
-    step = 0.125 * (1.0 + float(np.linalg.norm(x0)))
-    t_lo, g_lo = 0.0, g0
-    t_hi = None
-    for k in range(1, 161):
-        t = direction * step * k
-        gt = line(t)
-        if gt == 0.0 or (gt > 0.0) != (g_lo > 0.0):
-            t_hi, g_hi = t, gt
+        # G increases along its own gradient, so march up-ray if inside, down
+        # if outside.  Linear marching (not doubling) so a bounded domain lying
+        # across the ray cannot be jumped over.
+        direction = 1.0 if g0 < 0.0 else -1.0
+        step = 0.125 * (1.0 + float(np.linalg.norm(x0)))
+        t_lo, g_lo = 0.0, g0
+        t_hi = None
+        t_near, g_near = 0.0, abs(g0)  # the marched point of least |G|
+        for k in range(1, 161):
+            t = direction * step * k
+            gt = dom.value(x0 + t * u)
+            if gt == 0.0 or (gt > 0.0) != (g_lo > 0.0):
+                t_hi, g_hi = t, gt
+                break
+            t_lo, g_lo = t, gt
+            if abs(gt) < g_near:
+                t_near, g_near = t, abs(gt)
+        if t_hi is not None or t_near == 0.0:
             break
-        t_lo, g_lo = t, gt
+        x0 = x0 + t_near * u
     if t_hi is None:
         raise ProjectionError("no boundary along search direction")
 
     for _ in range(_BISECTION_STEPS):
         t_mid = 0.5 * (t_lo + t_hi)
-        g_mid = line(t_mid)
+        g_mid = dom.value(x0 + t_mid * u)
         if abs(g_mid) <= tol_bd:
             t_lo = t_hi = t_mid
             break

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss import density_1d
+from . import gauss
 from .domains import LevelSetDomain
 
 _CLASSIFY_CHUNK = 65536
@@ -72,6 +72,8 @@ class GaussianGrid:
         if np.any(hi <= lo) or np.any(hs <= 0):
             raise ValueError("need hi > lo and h > 0")
         shape = tuple(int(math.floor((b - a) / s + 0.5)) + 1 for a, b, s in zip(lo, hi, hs))
+        if min(shape) < 2:
+            raise ValueError(f"h = {hs.tolist()} gives an axis of the box fewer than 2 nodes")
         axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(dim)]
         h_eff = np.array([ax[1] - ax[0] for ax in axes])
         grid = cls(dim, lo, hi, shape, axes, h_eff, None, domain)
@@ -146,7 +148,7 @@ class GaussianGrid:
             return self.node_weights(np.arange(self.n_nodes)).reshape(self.shape)
         w = np.ones(len(nodes))
         for a, i in self._axis_indices(nodes):
-            w *= density_1d(self.axes[a])[i]
+            w *= gauss.density_1d(self.axes[a])[i]
         w *= float(np.prod(self.h))
         return w
 

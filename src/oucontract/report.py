@@ -66,6 +66,7 @@ class SuiteReport:
     records: list[CheckRecord] = field(default_factory=list)
     environment: dict = field(default_factory=dict)
     tables: dict[str, Table] = field(default_factory=dict)
+    plots: dict[str, Table] = field(default_factory=dict)  # plotdata/<name>.csv
     profile: dict = field(default_factory=dict)  # written beside the payload
 
     def add(self, record: CheckRecord) -> None:
@@ -115,54 +116,15 @@ def write_table(path, table: Table) -> None:
 
 
 def emit_plotdata(report: SuiteReport, out_dir) -> list[Path]:
-    """Figure-kind CSVs extracted from a report's tables.
+    """Write each of the report's ``plots`` to ``plotdata/<name>.csv``.
 
-    Emits whatever of the four standard kinds the suite produced:
-    ratio-vs-sigma, ratio-vs-p, D_n-vs-n, Hgamma histogram.  A suite with
-    none of them gets a full copy of each of its tables, and one with no
-    table a header-only ``empty.csv``.
+    A report with no plots gets a header-only ``plotdata/empty.csv``.
     """
     out = Path(out_dir) / "plotdata"
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def _emit(name: str, table: Table):
-        path = out / name
-        write_table(path, table)
-        written.append(path)
-
-    records_table = report.tables.get("records")
-    if report.suite == "contract" and records_table is not None:
-        cols = records_table.columns
-        i_sigma, i_p = cols.index("sigma"), cols.index("p")
-        i_ratio = cols.index("ratio")
-        i_dom, i_bump = cols.index("domain"), cols.index("bump")
-        by_sigma = Table(
-            "gradient-norm ratio vs sigma; one row per (domain, bump, p, sigma)",
-            ["domain", "bump", "p", "sigma", "ratio"],
-            [[r[i_dom], r[i_bump], r[i_p], r[i_sigma], r[i_ratio]]
-             for r in records_table.rows],
-        )
-        _emit("ratio_vs_sigma.csv", by_sigma)
-        by_p = Table(
-            "gradient-norm ratio vs p; one row per (domain, bump, sigma, p)",
-            ["domain", "bump", "sigma", "p", "ratio"],
-            [[r[i_dom], r[i_bump], r[i_sigma], r[i_p], r[i_ratio]]
-             for r in records_table.rows],
-        )
-        _emit("ratio_vs_p.csv", by_p)
-
-    dn_table = report.tables.get("convergence")
-    if dn_table is not None:
-        _emit("dn_vs_n.csv", dn_table)
-
-    hist_table = report.tables.get("curvature_values")
-    if hist_table is not None:
-        _emit("hgamma_histogram.csv", hist_table)
-
-    if not written:
-        for name, table in report.tables.items():
-            _emit(f"{name}.csv", table)
-    if not written:
-        _emit("empty.csv", Table("no tables in report", ["empty"], []))
+    plots = report.plots or {"empty": Table("no tables in report", ["empty"], [])}
+    written = []
+    for name, table in plots.items():
+        written.append(out / f"{name}.csv")
+        write_table(written[-1], table)
     return written

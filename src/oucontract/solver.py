@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import GaussianGrid, ScalarField, _shifted, discrete_gradient
+from . import grid as grid_mod
+from .grid import GaussianGrid, ScalarField
 
 
 @dataclass
@@ -103,8 +104,8 @@ def assemble_ou_operator(grid: GaussianGrid, sigma: float) -> OuOperator:
         h = grid.h[a]
         up, dn = _axis_face_ratios(grid, a)
         diag += sigma * (up[i_a] + dn[i_a]) / h**2
-        below.append(_shifted(interior, a, -1, fill=False).reshape(-1)[flat_int])
-        above.append(_shifted(interior, a, +1, fill=False).reshape(-1)[flat_int])
+        below.append(grid_mod._shifted(interior, a, -1, fill=False).reshape(-1)[flat_int])
+        above.append(grid_mod._shifted(interior, a, +1, fill=False).reshape(-1)[flat_int])
 
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(1 + sum(below) + sum(above), out=indptr[1:])
@@ -147,10 +148,10 @@ def discrete_ou_apply(f: ScalarField) -> ScalarField:
         along = [1] * grid.dim
         along[a] = -1
         up, dn = (r.reshape(along) for r in _axis_face_ratios(grid, a))
-        t = _shifted(u, a, +1)
+        t = grid_mod._shifted(u, a, +1)
         t -= u
         t *= up
-        s = _shifted(u, a, -1)
+        s = grid_mod._shifted(u, a, -1)
         s -= u
         s *= dn
         t += s
@@ -269,7 +270,7 @@ def export_solution_csv(sol: ResolventSolution, path) -> None:
     grid = sol.u.grid
     nodes = np.flatnonzero(grid.interior)
     gnorm = np.linalg.norm(
-        discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes], axis=1
+        grid_mod.discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes], axis=1
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -35,11 +35,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import domains, gauss, grid as grid_mod, solver
 from .contract import BumpFunction
-from .domains import CurvatureAudit, LevelSetDomain, curvature_audit, epigraph
-from .gauss import gauss_hermite_rule
-from .grid import GaussianGrid, ScalarField, discrete_gradient
-from .solver import ResolventJob, solve_resolvent
+from .domains import CurvatureAudit, LevelSetDomain
+from .grid import GaussianGrid, ScalarField
+from .solver import ResolventJob
 
 BM = "brownian_motion"
 BRIDGE = "brownian_bridge"
@@ -367,8 +367,8 @@ def cylindrical_curvature_audit(
     if basis.m > 4:
         raise ValueError("curvature audits are limited to truncations m <= 4")
     dom = cylindrical_domain(spec, basis)
-    audit = curvature_audit(dom, n_samples, np.random.default_rng(seed), tol,
-                            spec.threshold_slack())
+    audit = domains.curvature_audit(dom, n_samples, np.random.default_rng(seed), tol,
+                                    spec.threshold_slack())
     if np.min(np.abs(audit.grads[:, 0])) < spec.c * abs(basis.h1_integral()) - tol:
         audit.failures.append("first_coord_floor")
     return audit
@@ -460,8 +460,8 @@ def epigraph_spec_from_dict(d: dict) -> EpigraphSpec:
 def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:
     if m < 2:
         raise ValueError("epigraph domains need m >= 2")
-    return epigraph(m, spec.phi, spec.phi_grad, spec.phi_hess,
-                    grad_floor=0.5, name=spec.name)
+    return domains.epigraph(m, spec.phi, spec.phi_grad, spec.phi_hess,
+                            grad_floor=0.5, name=spec.name)
 
 
 def epigraph_curvature_audit(
@@ -495,8 +495,8 @@ def epigraph_curvature_audit(
         if np.linalg.norm(hess, 2) > spec.C3 + tol:
             failures.append("hessian_operator")
             break
-    audit = curvature_audit(epigraph_domain(spec, m), n_samples, rng, tol,
-                            spec.margin())
+    audit = domains.curvature_audit(epigraph_domain(spec, m), n_samples, rng, tol,
+                                    spec.margin())
     audit.failures.extend(failures)
     return audit
 
@@ -582,12 +582,12 @@ def _convergence_rows(rhs_by_n: dict, sigma: float, dims, gh_nodes: int,
     solutions: dict[int, dict] = {}
     for n, rhs in rhs_by_n.items():
         grid = rhs.grid
-        sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=solver_tol)
+        sol = solver.solve_resolvent(ResolventJob(grid, sigma, rhs), tol=solver_tol)
         if not sol.converged:
             raise RuntimeError(
                 f"resolvent solve did not converge at n={n}: residual {sol.residual:.3e}"
             )
-        grad = discrete_gradient(sol.u)
+        grad = grid_mod.discrete_gradient(sol.u)
         solutions[n] = {
             "u": grid.interpolator(sol.u.values),
             "grad": [grid.interpolator(grad[..., a]) for a in range(n)],
@@ -597,7 +597,7 @@ def _convergence_rows(rhs_by_n: dict, sigma: float, dims, gh_nodes: int,
     rows: list[ConvergenceRow] = []
     for n in dims:
         lo, hi = solutions[n], solutions[n + 1]
-        rule = gauss_hermite_rule(n + 1, gh_nodes)
+        rule = gauss.gauss_hermite_rule(n + 1, gh_nodes)
         pts = rule.nodes
         u_lo = lo["u"](pts[:, :n])
         u_hi = hi["u"](pts)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oucontract
-from oucontract import cli, contract
+from oucontract import cli, solver
 from oucontract.cli import (
     DEFAULT_CONFIGS,
     DEFAULT_SEED,
@@ -18,7 +18,7 @@ from oucontract.cli import (
 )
 from oucontract.contract import contractivity_sweep, make_bump
 from oucontract.grid import GaussianGrid
-from oucontract.report import CheckRecord, SuiteReport, Table, digest, emit_plotdata
+from oucontract.report import CheckRecord, SuiteReport, digest, emit_plotdata
 
 
 def small_curvature_cfg(radius, assert_flag=True, n_samples=24):
@@ -108,6 +108,23 @@ class TestExitCodes:
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        # a misspelt key must not run the default in its place
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_sample": 5, "tol": 1e-8}))
+        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'n_sample'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spacing_wider_than_box_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"lo": -8.0, "hi": 8.0, "h": 40.0, "dim": 1}}))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "fewer than 2 nodes" in err
+
     @pytest.mark.parametrize("flag", [["--tol-scale", "2"], ["--grid-h", "0.2"],
                                       ["--no-assert"]])
     def test_removed_flags_are_usage_errors(self, tmp_path, flag):
@@ -188,15 +205,15 @@ class TestSharedSweeps:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
-        """The solutions of the contract module's solves, in call order."""
+        """The solutions of every solve made through the solver module, in call order."""
         calls = []
-        orig = contract.solve_resolvent
+        orig = solver.solve_resolvent
 
         def counted(*args, **kwargs):
             calls.append(orig(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(contract, "solve_resolvent", counted)
+        monkeypatch.setattr(solver, "solve_resolvent", counted)
         return calls
 
     @staticmethod
@@ -416,33 +433,36 @@ class TestReports:
 
 
 class TestPlotdataShapes:
+    @staticmethod
+    def csv_rows(path):
+        return [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+
     def test_contract_tables(self, tmp_path):
-        rows = [["dom", f"b{i}", s, p, 0.1, 0.2, 0.5, 0.1, 1e-12, True]
-                for i in range(1) for s in (0.1, 1.0, 10.0)
-                for p in (1.5, 2.0, 3.0, 4.0)]
-        rep = SuiteReport("contract", 0, {})
-        rep.tables["records"] = Table(
-            "records",
-            ["domain", "bump", "sigma", "p", "lhs", "rhs", "ratio", "h",
-             "residual", "converged"],
-            rows,
-        )
-        written = emit_plotdata(rep, tmp_path)
-        names = {p.name for p in written}
-        assert {"ratio_vs_sigma.csv", "ratio_vs_p.csv"} <= names
-        sigma_rows = (tmp_path / "plotdata" / "ratio_vs_sigma.csv").read_text().splitlines()
-        assert len(sigma_rows) == 2 + 12  # comment + header + 3 sigma x 4 p
+        # sigma -> 0 rides along: 3 sigma x 4 p rows for one bump
+        sweep = {**SMALL_CONTRACT_CFG["sweeps"][0], "sigmas": [0.1, 1.0],
+                 "ps": [1.5, 2.0, 3.0, 4.0]}
+        run_suite("contract", {**SMALL_CONTRACT_CFG, "sweeps": [sweep]}, tmp_path, seed=0)
+        plots = tmp_path / "plotdata"
+        assert {p.name for p in plots.iterdir()} == {"ratio_vs_sigma.csv", "ratio_vs_p.csv"}
+        header, *records = self.csv_rows(tmp_path / "contract_records.csv")
+        assert len(records) == 12
+        for name, cols in (("ratio_vs_sigma", ["domain", "bump", "p", "sigma", "ratio"]),
+                           ("ratio_vs_p", ["domain", "bump", "sigma", "p", "ratio"])):
+            lines = (plots / f"{name}.csv").read_text().splitlines()
+            assert len(lines) == 2 + 12  # comment + header + 3 sigma x 4 p
+            # each row projects the record of the same position
+            assert self.csv_rows(plots / f"{name}.csv") == [cols] + [
+                [r[header.index(c)] for c in cols] for r in records]
 
     def test_converge_table(self, tmp_path):
-        rep = SuiteReport("converge", 0, {})
-        rep.tables["convergence"] = Table(
-            "dn", ["sigma", "n", "d_l2", "d_grad", "r1", "r2"],
-            [[1.0, 1, 1e-3, 2e-3, 0, 0], [1.0, 2, 5e-4, 1e-3, 0, 0]],
-        )
-        written = emit_plotdata(rep, tmp_path)
-        assert any(p.name == "dn_vs_n.csv" for p in written)
+        cfg = {**DEFAULT_CONFIGS["converge"], "dims": [1], "h": 0.3, "gh_nodes": 8}
+        run_suite("converge", cfg, tmp_path, seed=1)
+        assert [p.name for p in (tmp_path / "plotdata").iterdir()] == ["dn_vs_n.csv"]
         lines = (tmp_path / "plotdata" / "dn_vs_n.csv").read_text().splitlines()
-        assert len(lines) == 2 + 2
+        assert len(lines) == 2 + 2  # comment + header + sigma and sigma_zero at n = 1
+        assert lines[1] == "sigma,n,d_l2,d_grad,residual_n,residual_n_plus_1"
+        assert lines == (tmp_path / "converge_convergence.csv").read_text().splitlines()
 
     def test_empty_report_headers_only(self, tmp_path):
         rep = SuiteReport("contract", 0, {})

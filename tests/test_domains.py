@@ -164,6 +164,26 @@ class TestCurvatureAudit:
         with pytest.raises(ValueError, match="n_samples"):
             curvature_audit(ball(2, 0.9), 0, np.random.default_rng(3))
 
+    @pytest.mark.parametrize("a,b", [(1.0, 0.6), (2.0, 0.5)])
+    def test_ellipse_matches_closed_form(self, a, b):
+        # from outside, a draw's gradient ray can pass beside the ellipse, and
+        # the projection then marches again from that ray's point of least |G|
+        dom = ellipsoid([a, b])
+        for seed in range(6, 12):
+            audit = curvature_audit(dom, 200, np.random.default_rng(seed))
+            assert np.max(np.abs(dom.value(audit.points))) <= 1e-8
+            x, y = audit.points.T
+            t = np.arctan2(y / b, x / a)
+            kappa = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
+            h_gamma = kappa - 1.0 / np.sqrt(x**2 / a**4 + y**2 / b**4)
+            assert np.max(np.abs(audit.values - h_gamma)) <= 1e-6
+
+    def test_ellipsoid_in_3d_projects_every_draw(self):
+        dom = ellipsoid([1.0, 2.0, 0.7])
+        for seed in range(6, 12):
+            audit = curvature_audit(dom, 200, np.random.default_rng(seed))
+            assert np.max(np.abs(dom.value(audit.points))) <= 1e-8
+
     def test_points_on_the_ray_of_each_draw(self):
         # on a ball the projection of a draw z is the radial point R z/|z|,
         # where grad G = 2x
