@@ -10,7 +10,6 @@ from .gauss import (
     QuadratureRule,
     gauss_hermite_rule,
     hermite_poly,
-    sample_gaussian,
 )
 from .domains import (
     BoundaryPoint,

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, contract, domains, gauss, report, solver, wiener
+from . import __version__, contract, domains, gauss, report, wiener
+from . import grid as grid_mod
 from .contract import ContractRecord
 from .domains import LevelSetDomain
 from .feynman_kac import KilledPathEstimator
@@ -267,7 +268,7 @@ def suite_curvature(cfg, seed) -> SuiteReport:
     return rep
 
 
-def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
+def suite_solve(cfg, seed) -> SuiteReport:
     rep = SuiteReport("solve", seed, cfg)
     g = cfg["grid"]
     grid = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g.get("dim", 1))
@@ -291,9 +292,14 @@ def suite_solve(cfg, seed, out_dir: Path | None = None) -> SuiteReport:
         passed=sol.converged,
         inputs={"grid": g, "sigma": sigma},
     ))
-    if out_dir is not None:
-        solver.export_solution_csv(sol, out_dir / "solution.csv")
-        solver.export_diagnostics_json(sol, out_dir / "solve_diagnostics.json")
+    nodes = np.flatnonzero(grid.interior)
+    grad = grid_mod.discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes]
+    rep.tables["solution"] = Table(  # tolist: Python floats, written by repr
+        "resolvent solution at the interior nodes: coordinates, u and |grad u|",
+        [f"x{i}" for i in range(grid.dim)] + ["u", "grad_norm"],
+        np.column_stack([grid.node_coordinates(nodes), sol.u.flat()[nodes],
+                         np.linalg.norm(grad, axis=1)]).tolist())
+    rep.profile.update(_solve_counters([sol]))
     return rep
 
 
@@ -576,6 +582,14 @@ def suite_converge(cfg, seed) -> SuiteReport:
         ["sigma", "n", "d_l2", "d_grad", "residual_n", "residual_n_plus_1"],
         rows_out,
     )
+    # the solve at (sigma, n) feeds the rows at n - 1 and n: count it once
+    solves = {}
+    for row in rows:
+        solves[row.sigma, row.n] = (row.iterations_lo, row.unknowns_lo)
+        solves[row.sigma, row.n + 1] = (row.iterations_hi, row.unknowns_hi)
+    rep.profile.update(linear_solves=len(solves),
+                       cg_iterations=sum(it for it, _ in solves.values()),
+                       unknowns=sum(m for _, m in solves.values()))
     return rep
 
 
@@ -601,16 +615,71 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if name == "solve":
-        rep = suite_solve(config, seed, out_dir=out)
-    else:
-        rep = _SUITES[name](config, seed)
+    rep = _SUITES[name](config, seed)
     rep.profile["wall_s"] = time.perf_counter() - t0
     rep.profile["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
     report.emit_plotdata(rep, out)
     return rep
+
+
+# The keys the suites read, record by record.  A dict maps each key to the
+# schema of its value (None: a plain value), a one-element list is a list of
+# records of that schema, and a function picks the schema of a record from
+# the record itself; a record whose schema is None is not checked (an unknown
+# domain type or epigraph kind is left to the code that builds it).
+_GRID = dict.fromkeys(["lo", "hi", "h", "dim"])
+_BUMP = dict.fromkeys(["center", "radius", "margin"])
+_EPIGRAPH_PARAMETERS = {
+    "constant": dict.fromkeys(["kind", "C"]),
+    "gauss_ridge": dict.fromkeys(["kind", "c0", "amp", "weights"]),
+}
+_DOMAIN_PARAMETERS = {
+    "halfspace": dict.fromkeys(["offset", "axis"]),
+    "ball": dict.fromkeys(["radius", "center"]),
+    "ellipsoid": dict.fromkeys(["semi_axes"]),
+    "polynomial": {"terms": [dict.fromkeys(["coeff", "powers"])]},
+    "epigraph": lambda params: _EPIGRAPH_PARAMETERS.get(params.get("kind")),
+}
+
+
+def _domain_schema(spec: dict) -> dict:
+    """The keys ``build_domain`` reads from a domain record of this type."""
+    if spec.get("type") == "cylindrical":
+        return dict.fromkeys(["type", "spec", "m"])
+    return {"type": None, "dim": None,
+            "parameters": _DOMAIN_PARAMETERS.get(spec.get("type"))}
+
+
+_SWEEP = {**dict.fromkeys(["name", "sigmas", "ps", "assert_contractive"]),
+          "domain": _domain_schema, "grid": _GRID, "bumps": [_BUMP]}
+_RECORD_SCHEMAS = {
+    "curvature": {"domains": [lambda d: {**_domain_schema(d), "assert_nonnegative": None}]},
+    "solve": {"grid": _GRID},
+    "contract": {"sweeps": [_SWEEP]},
+    "lemma": {"sweeps": [_SWEEP]},
+    "oracle": {"cases": [{**dict.fromkeys(["name", "probes"]), "domain": _domain_schema,
+                          "grid": _GRID, "bump": _BUMP}]},
+}
+
+
+def _unknown_keys(value, schema, where: str = "") -> list[str]:
+    """Paths of the keys in ``value`` that ``schema`` does not take."""
+    if isinstance(schema, list):
+        items = value if isinstance(value, list) else []
+        return [key for i, item in enumerate(items)
+                for key in _unknown_keys(item, schema[0], f"{where}[{i}]")]
+    if not isinstance(value, dict):
+        return []  # a value of the wrong type is left to the code that reads it
+    if callable(schema):
+        schema = schema(value)
+    if schema is None:
+        return []
+    prefix = f"{where}." if where else ""
+    return [key for name, item in value.items()
+            for key in ([prefix + name] if name not in schema
+                        else _unknown_keys(item, schema[name], prefix + name))]
 
 
 def _load_config(suite: str, path: str | None) -> dict:
@@ -621,7 +690,8 @@ def _load_config(suite: str, path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ValueError(f"{path}: top level must be a JSON object, "
                              f"not {type(user).__name__}")
-        unknown = sorted(set(user) - set(cfg))
+        schema = {**dict.fromkeys(cfg), **_RECORD_SCHEMAS.get(suite, {})}
+        unknown = _unknown_keys(user, schema)
         if unknown:
             raise ValueError(f"{path}: unknown {suite} config keys {unknown}")
         cfg.update(user)

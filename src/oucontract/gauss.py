@@ -80,15 +80,3 @@ def hermite_poly(k: int, x):
     for j in range(1, k):
         prev, cur = cur, xa * cur - j * prev
     return cur if xa.ndim else float(cur)
-
-
-def sample_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
-    """Seeded i.i.d. standard normal vectors, shape (count, dim).
-
-    The generator is numpy's PCG64 via default_rng; identical
-    (dim, count, seed) always reproduces the same array bit for bit.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((count, dim))

@@ -41,8 +41,6 @@ iterations, while it costs one extra product per iteration.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -260,41 +258,5 @@ def solve_resolvent(
         diagnostics={
             "n_unknowns": op.n_unknowns,
             "cg_info": int(info),
-            "rhs_theta_norm": bnorm,
         },
     )
-
-
-def export_solution_csv(sol: ResolventSolution, path) -> None:
-    """Nodal CSV: coordinates, u, |grad u| (interior nodes only)."""
-    grid = sol.u.grid
-    nodes = np.flatnonzero(grid.interior)
-    gnorm = np.linalg.norm(
-        grid_mod.discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes], axis=1
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(grid.dim)] + ["u", "grad_norm"])
-        for x, u, g in zip(grid.node_coordinates(nodes), sol.u.flat()[nodes], gnorm):
-            writer.writerow([repr(float(c)) for c in x] + [repr(float(u)), repr(float(g))])
-
-
-def export_diagnostics_json(sol: ResolventSolution, path) -> None:
-    grid = sol.u.grid
-    record = {
-        "sigma": sol.sigma,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "grid": {
-            "lo": [float(v) for v in grid.lo],
-            "hi": [float(v) for v in grid.hi],
-            "h": [float(v) for v in grid.h],
-            "shape": list(grid.shape),
-            "n_interior": grid.n_interior,
-        },
-        "diagnostics": sol.diagnostics,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")

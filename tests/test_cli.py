@@ -67,6 +67,20 @@ TWO_SWEEP_LEMMA_CFG = {**DEFAULT_CONFIGS["lemma"],
                        "solver_tol": TWO_SWEEP_CONTRACT_CFG["solver_tol"]}
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The solutions of every solve made through the solver module, in call order."""
+    calls = []
+    orig = solver.solve_resolvent
+
+    def counted(*args, **kwargs):
+        calls.append(orig(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "solve_resolvent", counted)
+    return calls
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["curvature", "--config", str(tmp_path / "nope.json"),
@@ -115,6 +129,31 @@ class TestExitCodes:
         code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "'n_sample'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite, user, key", [
+        # the R = 1.5 negative control, whose assertion the misspelling dropped
+        ("curvature",
+         {"n_samples": 20, "domains": [{"type": "ball", "dim": 2, "parameters": {"radius": 1.5},
+                                         "assert_nonnegativ": True}]},
+         "domains[0].assert_nonnegativ"),
+        ("contract",
+         {**SMALL_CONTRACT_CFG, "sweeps": [
+             {**{k: v for k, v in SMALL_CONTRACT_CFG["sweeps"][0].items()
+                 if k != "assert_contractive"}, "assert_contractiv": True}]},
+         "sweeps[0].assert_contractiv"),
+        ("oracle",
+         {"cases": [{**DEFAULT_CONFIGS["oracle"]["cases"][0],
+                     "domain": {"type": "halfspace", "dim": 1,
+                                "parameters": {"offset": 1.0, "axes": 0}}}]},
+         "cases[0].domain.parameters.axes"),
+    ])
+    def test_unknown_nested_config_key_exits_2(self, tmp_path, capsys, suite, user, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_spacing_wider_than_box_exits_2(self, tmp_path, capsys):
@@ -202,19 +241,6 @@ class TestContractRichardson:
 
 class TestSharedSweeps:
     """The lemma suite reads the solutions the contract suite just made."""
-
-    @pytest.fixture
-    def solve_calls(self, monkeypatch):
-        """The solutions of every solve made through the solver module, in call order."""
-        calls = []
-        orig = solver.solve_resolvent
-
-        def counted(*args, **kwargs):
-            calls.append(orig(*args, **kwargs))
-            return calls[-1]
-
-        monkeypatch.setattr(solver, "solve_resolvent", counted)
-        return calls
 
     @staticmethod
     def solve_profile(sols, reused):
@@ -318,6 +344,16 @@ class TestProfile:
             assert len(live) == 11 and live[0] == 500
             assert all(a >= b for a, b in zip(live, live[1:]))
 
+    def test_converge_counts_each_solve_once(self, solve_calls, tmp_path):
+        # dims 1 and 2 solve n = 1, 2, 3 at each sigma; n = 2 feeds two rows
+        cfg = {**DEFAULT_CONFIGS["converge"], "dims": [1, 2], "h": 0.6, "gh_nodes": 6}
+        rep = run_suite("converge", cfg, tmp_path, seed=1)
+        assert [s.u.grid.dim for s in solve_calls] == [1, 2, 3, 1, 2, 3]
+        assert {k: rep.profile[k] for k in ("linear_solves", "cg_iterations", "unknowns")} == {
+            "linear_solves": 6,
+            "cg_iterations": sum(s.iterations for s in solve_calls),
+            "unknowns": sum(s.diagnostics["n_unknowns"] for s in solve_calls)}
+
     def test_cli_import_leaves_out_sparse_linalg(self):
         # the solver owns its CG loop; scipy.sparse.linalg costs set-up time
         src = str(Path(oucontract.__file__).resolve().parents[1])
@@ -413,14 +449,30 @@ class TestReports:
         assert p1 == p2
 
     def test_solve_suite_exports(self, tmp_path):
-        rep = run_suite("solve", DEFAULT_CONFIGS["solve"], tmp_path, seed=1)
+        cfg = DEFAULT_CONFIGS["solve"]
+        rep = run_suite("solve", cfg, tmp_path, seed=1)
         assert rep.ok
-        assert (tmp_path / "solve_diagnostics.json").exists()
-        # every field below the header is a plain number, coordinates included
-        header, *rows = (tmp_path / "solution.csv").read_text().splitlines()
-        assert header == "x0,u,grad_norm" and rows
-        for row in rows:
-            assert len([float(v) for v in row.split(",")]) == 3
+        # the nodal solution is a report table: no file beside the report's own
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()) == ["plotdata/empty.csv", "report.json",
+                                          "solve_solution.csv"]
+        g = cfg["grid"]
+        n_interior = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g["dim"]).n_interior
+        table = rep.tables["solution"]
+        assert table.columns == ["x0", "u", "grad_norm"]
+        assert len(table.rows) == n_interior
+        assert all(type(v) is float for row in table.rows for v in row)
+        # every field below the comment and header is a plain number
+        comment, header, *rows = (tmp_path / "solve_solution.csv").read_text().splitlines()
+        assert comment.startswith("#") and header == "x0,u,grad_norm"
+        assert [[float(v) for v in row.split(",")] for row in rows] == table.rows
+        profile = json.loads((tmp_path / "report.json").read_text())["profile"]
+        assert profile == rep.profile
+        assert set(profile) == {"linear_solves", "cg_iterations", "unknowns",
+                                "wall_s", "peak_rss_mb"}
+        assert profile["linear_solves"] == 1
+        assert profile["unknowns"] == n_interior
+        assert profile["cg_iterations"] > 0
 
     def test_curvature_histogram_plotdata(self, tmp_path):
         run_suite("curvature", small_curvature_cfg(0.9), tmp_path, seed=5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oucontract.gauss import gauss_hermite_rule, hermite_poly, sample_gaussian
+from oucontract.gauss import gauss_hermite_rule, hermite_poly
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -46,21 +46,3 @@ def test_hermite_orthogonality():
             val = float(np.sum(rule.weights * hermite_poly(j, x) * hermite_poly(k, x)))
             expected = math.factorial(k) if j == k else 0.0
             assert val == pytest.approx(expected, abs=1e-6)
-
-
-def test_sampling_reproducible():
-    a = sample_gaussian(2, 100, seed=123)
-    b = sample_gaussian(2, 100, seed=123)
-    assert np.array_equal(a, b)
-
-
-def test_sampling_single_point_shape():
-    pt = sample_gaussian(2, 1, seed=9)
-    assert pt.shape == (1, 2)
-
-
-def test_sampling_moments():
-    pts = sample_gaussian(1, 100_000, seed=2024)
-    assert abs(np.mean(pts)) < 5.0 / math.sqrt(100_000)
-    assert 0.98 <= np.var(pts) <= 1.02
-

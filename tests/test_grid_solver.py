@@ -22,8 +22,6 @@ from oucontract.solver import (
     ResolventJob,
     assemble_ou_operator,
     discrete_ou_apply,
-    export_diagnostics_json,
-    export_solution_csv,
     solve_resolvent,
 )
 from oucontract.wiener import (
@@ -678,19 +676,6 @@ class TestSolve:
         assert sol.converged
         assert sol.u.values.min() >= -1e-9
         assert np.all(sol.u.values[~grid.interior] == 0.0)
-
-    def test_exports(self, tmp_path, halfline_grid):
-        rhs = ScalarField.from_callable(
-            halfline_grid, lambda p: np.exp(-((p[:, 0] + 3) ** 2))
-        )
-        sol = solve_resolvent(ResolventJob(halfline_grid, 1.0, rhs))
-        csv_path = tmp_path / "sol.csv"
-        json_path = tmp_path / "diag.json"
-        export_solution_csv(sol, csv_path)
-        export_diagnostics_json(sol, json_path)
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "x0,u,grad_norm"
-        assert '"sigma": 1.0' in json_path.read_text()
 
 
 def solve_against_scipy(grid, sigma, rhs, tol=1e-10):
