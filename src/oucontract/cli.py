@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, contract, domains, gauss, report, wiener
+from . import __version__, contract, domains, gauss, report, solver, wiener
 from . import grid as grid_mod
 from .contract import ContractRecord
 from .domains import LevelSetDomain
@@ -233,13 +233,6 @@ def _take_solved_sweep(sweep_cfg, solver_tol):
     return None
 
 
-def _solve_counters(solutions) -> dict:
-    """Profile counters of a suite's solves: count, CG iterations, unknowns."""
-    return {"linear_solves": len(solutions),
-            "cg_iterations": sum(sol.iterations for sol in solutions),
-            "unknowns": sum(sol.diagnostics["n_unknowns"] for sol in solutions)}
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -292,14 +285,14 @@ def suite_solve(cfg, seed) -> SuiteReport:
         passed=sol.converged,
         inputs={"grid": g, "sigma": sigma},
     ))
-    nodes = np.flatnonzero(grid.interior)
+    # the nodes the Hermite record reads: the box faces are no part of the table
+    nodes = np.flatnonzero(window)
     grad = grid_mod.discrete_gradient(sol.u).reshape(-1, grid.dim)[nodes]
     rep.tables["solution"] = Table(  # tolist: Python floats, written by repr
-        "resolvent solution at the interior nodes: coordinates, u and |grad u|",
+        "resolvent solution at the oracle window's nodes: coordinates, u and |grad u|",
         [f"x{i}" for i in range(grid.dim)] + ["u", "grad_norm"],
         np.column_stack([grid.node_coordinates(nodes), sol.u.flat()[nodes],
                          np.linalg.norm(grad, axis=1)]).tolist())
-    rep.profile.update(_solve_counters([sol]))
     return rep
 
 
@@ -308,7 +301,6 @@ def suite_contract(cfg, seed) -> SuiteReport:
     recs = []  # every ContractRecord written, in table order
     sigma_zero = cfg["sigma_zero"]
     lo, hi_band = cfg["sigma_zero_band"]
-    sols = []
     _SOLVED_SWEEPS.clear()
     for sweep_cfg in cfg["sweeps"]:
         sweep, h_cfg = sweep_cfg["name"], sweep_cfg["grid"]["h"]
@@ -319,7 +311,6 @@ def suite_contract(cfg, seed) -> SuiteReport:
         result = contract.contractivity_sweep(
             dom, grid, sigmas if sigma_zero in sigmas else sigmas + [sigma_zero],
             sweep_cfg["ps"], bumps, solver_tol=cfg["solver_tol"])
-        sols.extend(result.solutions.values())
         _SOLVED_SWEEPS[_sweep_key(sweep_cfg, cfg["solver_tol"])] = (
             dom, bumps, grid, result)
         tol = contract.default_contract_tol(float(np.max(grid.h)))
@@ -345,7 +336,6 @@ def suite_contract(cfg, seed) -> SuiteReport:
                 dom, grid_at(h_cfg / 2.0), sorted({s for _, s, _ in excesses}),
                 sweep_cfg["ps"], [b for b in bumps if b.label in labels],
                 solver_tol=cfg["solver_tol"])
-            sols.extend(halved.solutions.values())
             recs.extend(halved.records)
             for r in halved.records:
                 ex_coarse = excesses.get((r.bump, r.sigma, r.p))
@@ -388,14 +378,13 @@ def suite_contract(cfg, seed) -> SuiteReport:
         ["domain", "bump", "sigma", "p", "ratio"],
         [[r.domain, r.bump, r.sigma, r.p, r.ratio] for r in recs],
     )
-    rep.profile.update(_solve_counters(sols), solutions_reused=0)
+    rep.profile["solutions_reused"] = 0
     return rep
 
 
 def suite_lemma(cfg, seed) -> SuiteReport:
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
-    sols = []
     n_reused = 0
     for sweep_cfg in cfg["sweeps"]:
         solved = _take_solved_sweep(sweep_cfg, cfg["solver_tol"])
@@ -408,7 +397,6 @@ def suite_lemma(cfg, seed) -> SuiteReport:
             # the (sigma, bump) solutions alone: no p, so no ratio records
             result = contract.contractivity_sweep(dom, grid, sweep_cfg["sigmas"], [], bumps,
                                                   solver_tol=cfg["solver_tol"])
-            sols.extend(result.solutions.values())
         h = float(np.max(grid.h))
         p_tol = cfg["pointwise_tol_h"] * h
         s_tol = cfg["slope_tol_h"] * h
@@ -443,7 +431,7 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                         inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
                                 "bump": bump.label, "eps": eps, "p": p},
                     ))
-    rep.profile.update(_solve_counters(sols), solutions_reused=n_reused)
+    rep.profile["solutions_reused"] = n_reused
     return rep
 
 
@@ -451,7 +439,6 @@ def suite_oracle(cfg, seed) -> SuiteReport:
     rep = SuiteReport("oracle", seed, cfg)
     sigma = cfg["sigma"]
     rows = []
-    sols = []
     probes = {}  # record name -> Monte Carlo work counters
     for case in cfg["cases"]:
         dom = build_domain(case["domain"])
@@ -461,7 +448,6 @@ def suite_oracle(cfg, seed) -> SuiteReport:
         bump = contract.make_bump(dom, b["center"], b["radius"], b["margin"])
         rhs = ScalarField.from_callable(grid, bump)
         sol = solve_resolvent(ResolventJob(grid, sigma, rhs), tol=1e-10)
-        sols.append(sol)
         interp = grid.interpolator(sol.u.values)
         for j, probe in enumerate(case["probes"]):
             est = KilledPathEstimator(dom, sigma, dt=cfg["dt"],
@@ -484,7 +470,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
         "finite-difference vs killed-path Monte Carlo resolvent values",
         ["case", "probe", "fd_value", "mc_value", "mc_se"], rows,
     )
-    rep.profile.update(_solve_counters(sols), probes=probes)
+    rep.profile["probes"] = probes
     return rep
 
 
@@ -549,7 +535,6 @@ def suite_wiener(cfg, seed) -> SuiteReport:
 def suite_converge(cfg, seed) -> SuiteReport:
     rep = SuiteReport("converge", seed, cfg)
     spec = _SHIPPED_SPECS[cfg["spec"]]()
-    rows_out = []
     rows = wiener.resolvent_convergence_study(
         spec, [cfg["sigma"], cfg["sigma_zero"]], cfg["dims"], cfg["bump_center"],
         cfg["bump_radius"], cfg["box"], cfg["h"], cfg["gh_nodes"], cfg["solver_tol"])
@@ -557,8 +542,6 @@ def suite_converge(cfg, seed) -> SuiteReport:
     at_sigma = [row for row in rows if row.sigma == cfg["sigma"]]
     at_zero = [row for row in rows if row.sigma == cfg["sigma_zero"]]
     for row in at_sigma:
-        rows_out.append([row.sigma, row.n, row.d_l2, row.d_grad,
-                         row.residual_lo, row.residual_hi])
         rep.add(CheckRecord(
             f"convergence-finite:n={row.n}", row.d_l2, 1e30,
             row.finite() and row.d_l2 < 1e30, True,
@@ -570,8 +553,6 @@ def suite_converge(cfg, seed) -> SuiteReport:
             by_n[2].d_l2 <= by_n[1].d_l2, True,
             {"sigma": cfg["sigma"]}))
     for row in at_zero:
-        rows_out.append([row.sigma, row.n, row.d_l2, row.d_grad,
-                         row.residual_lo, row.residual_hi])
         lim = cfg["d_zero_limit"]
         rep.add(CheckRecord(
             f"convergence-identity-limit:n={row.n}", row.d_l2, lim,
@@ -580,16 +561,9 @@ def suite_converge(cfg, seed) -> SuiteReport:
     rep.tables["convergence"] = rep.plots["dn_vs_n"] = Table(
         "consecutive-truncation differences D_n of the Dirichlet resolvent",
         ["sigma", "n", "d_l2", "d_grad", "residual_n", "residual_n_plus_1"],
-        rows_out,
+        [[row.sigma, row.n, row.d_l2, row.d_grad, row.residual_lo, row.residual_hi]
+         for row in rows],
     )
-    # the solve at (sigma, n) feeds the rows at n - 1 and n: count it once
-    solves = {}
-    for row in rows:
-        solves[row.sigma, row.n] = (row.iterations_lo, row.unknowns_lo)
-        solves[row.sigma, row.n + 1] = (row.iterations_hi, row.unknowns_hi)
-    rep.profile.update(linear_solves=len(solves),
-                       cg_iterations=sum(it for it, _ in solves.values()),
-                       unknowns=sum(m for _, m in solves.values()))
     return rep
 
 
@@ -607,16 +581,19 @@ _SUITES = {
 def run_suite(name, config, out_dir, seed) -> SuiteReport:
     """Run one suite and write its report and plot data to ``out_dir``.
 
-    The profile gets ``wall_s``, the suite's wall time, and ``peak_rss_mb``,
-    the process's peak resident memory (``ru_maxrss``) when the suite ends:
-    the peak of the whole process so far, so under ``all`` it covers the
-    suites that ran before this one too.
+    The profile gets the suite's entries of ``solver.tally`` (solves, CG
+    iterations, unknowns), ``wall_s``, the suite's wall time, and
+    ``peak_rss_mb``, the process's peak resident memory (``ru_maxrss``) when
+    the suite ends: the peak of the whole process so far, so under ``all``
+    it covers the suites that ran before this one too.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    solver.tally.update(dict.fromkeys(solver.tally, 0))
     t0 = time.perf_counter()
     rep = _SUITES[name](config, seed)
     rep.profile["wall_s"] = time.perf_counter() - t0
+    rep.profile.update(solver.tally)
     rep.profile["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rep.environment = {"package_version": __version__, "seed": seed}
     rep.write(out)
@@ -625,10 +602,11 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
 
 
 # The keys the suites read, record by record.  A dict maps each key to the
-# schema of its value (None: a plain value), a one-element list is a list of
-# records of that schema, and a function picks the schema of a record from
-# the record itself; a record whose schema is None is not checked (an unknown
-# domain type or epigraph kind is left to the code that builds it).
+# schema of its value (None: a plain value, whose type is left to the code
+# that reads it), a one-element list is a list of records of that schema,
+# and a function picks the schema of a record from the record itself; a
+# record whose schema is None is not checked (an unknown domain type or
+# epigraph kind is left to the code that builds it).
 _GRID = dict.fromkeys(["lo", "hi", "h", "dim"])
 _BUMP = dict.fromkeys(["center", "radius", "margin"])
 _EPIGRAPH_PARAMETERS = {
@@ -665,13 +643,20 @@ _RECORD_SCHEMAS = {
 
 
 def _unknown_keys(value, schema, where: str = "") -> list[str]:
-    """Paths of the keys in ``value`` that ``schema`` does not take."""
-    if isinstance(schema, list):
-        items = value if isinstance(value, list) else []
-        return [key for i, item in enumerate(items)
+    """Paths of the keys in ``value`` that ``schema`` does not take.
+
+    Raises ValueError, naming the key path, where a list or a record
+    belongs and the value is something else.
+    """
+    if schema is None:
+        return []
+    kind = list if isinstance(schema, list) else dict
+    if not isinstance(value, kind):
+        raise ValueError(f"config key {where!r} must be a "
+                         f"{'list' if kind is list else 'record'}, not {type(value).__name__}")
+    if kind is list:
+        return [key for i, item in enumerate(value)
                 for key in _unknown_keys(item, schema[0], f"{where}[{i}]")]
-    if not isinstance(value, dict):
-        return []  # a value of the wrong type is left to the code that reads it
     if callable(schema):
         schema = schema(value)
     if schema is None:

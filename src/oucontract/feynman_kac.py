@@ -142,7 +142,6 @@ def _killed_paths(est: KilledPathEstimator, f,
     path_id = np.arange(n)
     alive = np.ones((v, n), dtype=bool)
     noise = (np.empty((n, d)), np.empty((n, d)))
-    masked = False
     sqrt_step = math.sqrt(2.0 * est.dt)
     decay = 1.0 - est.dt
     steps_used = 0
@@ -160,15 +159,12 @@ def _killed_paths(est: KilledPathEstimator, f,
             w = math.exp(-k * est.dt / est.sigma)
             if k == 0:
                 w *= 0.5
-            # f may return a view into the state buffer, so never scale fv
-            # in place; the masked branch allocates a fresh array anyway
-            fv = np.asarray(f(points), dtype=float).reshape(v, m)
-            if masked:
-                fv = fv * alive
-                fv *= w
-                acc += fv
-            else:
-                acc += w * fv
+            # f may return a view into the state buffer: fv * alive is a
+            # fresh array, so it is scaled in place; a live path's term is
+            # w * fv to the bit, a dead one's is 0
+            fv = np.asarray(f(points), dtype=float).reshape(v, m) * alive
+            fv *= w
+            acc += fv
             buf = draw.result()
             ahead = noise[(k + 1) % 2]
             rewind = rng.bit_generator.state
@@ -183,8 +179,7 @@ def _killed_paths(est: KilledPathEstimator, f,
                 n_alive = int(np.count_nonzero(alive))
                 if n_alive == 0:
                     break
-                masked = n_alive < alive.size
-                if masked:
+                if n_alive < alive.size:
                     live = alive.any(axis=0)
                     n_live = int(np.count_nonzero(live))
                     if m - n_live > m // 8:
@@ -198,7 +193,6 @@ def _killed_paths(est: KilledPathEstimator, f,
                         acc = acc[:, live]
                         path_id = path_id[live]
                         alive = alive[:, live]
-                        masked = n_alive < alive.size
             live_paths += [n_live] * marks.count(k + 1)
         draw.result()  # the last lookahead draw is unused; surface its errors
     if path_id.size:

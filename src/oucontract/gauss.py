@@ -51,8 +51,6 @@ def gauss_hermite_rule(dim: int, n_nodes: int) -> QuadratureRule:
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     z1 = math.sqrt(2.0) * x
     w1 = w / math.sqrt(math.pi)
-    if dim == 1:
-        return QuadratureRule(z1.reshape(-1, 1), w1.copy())
     grids = np.meshgrid(*([z1] * dim), indexing="ij")
     nodes = np.column_stack([g.reshape(-1) for g in grids])
     wgrids = np.meshgrid(*([w1] * dim), indexing="ij")

@@ -51,6 +51,11 @@ from . import grid as grid_mod
 from .grid import GaussianGrid, ScalarField
 
 
+# the work of every solve_resolvent call since cli.run_suite last zeroed it:
+# the solves, and the CG iterations and unknowns summed over them
+tally = dict.fromkeys(["linear_solves", "cg_iterations", "unknowns"], 0)
+
+
 @dataclass
 class OuOperator:
     """Assembled resolvent system for one (grid, sigma) pair."""
@@ -232,6 +237,8 @@ def solve_resolvent(
     op = operator if operator is not None else assemble_ou_operator(job.grid, job.sigma)
     if op.sigma != job.sigma:
         raise ValueError("operator sigma does not match job sigma")
+    tally["linear_solves"] += 1
+    tally["unknowns"] += op.n_unknowns
     grid = job.grid
     b = job.rhs.flat()[op.interior_flat] * op.sqrt_w
     bnorm = math.sqrt(_dot(b, b))
@@ -243,6 +250,7 @@ def solve_resolvent(
 
     budget = _iteration_budget(op.n_unknowns)
     x, iters = _cg(op.matrix, b, tol * bnorm, budget)
+    tally["cg_iterations"] += iters
     info = 0 if iters < budget else budget
     r = op.matrix @ x - b
     res = math.sqrt(_dot(r, r)) / bnorm

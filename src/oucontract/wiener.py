@@ -513,10 +513,6 @@ class ConvergenceRow:
     residual_lo: float
     residual_hi: float
     sigma: float
-    iterations_lo: int  # CG iterations and unknowns of the solves at n and n + 1
-    iterations_hi: int
-    unknowns_lo: int
-    unknowns_hi: int
 
     def finite(self) -> bool:
         return math.isfinite(self.d_l2) and math.isfinite(self.d_grad)
@@ -596,8 +592,6 @@ def _convergence_rows(rhs_by_n: dict, sigma: float, dims, gh_nodes: int,
             "u": grid.interpolator(sol.u.values),
             "grad": [grid.interpolator(grad[..., a]) for a in range(n)],
             "residual": sol.residual,
-            "iterations": sol.iterations,
-            "unknowns": sol.diagnostics["n_unknowns"],
         }
 
     rows: list[ConvergenceRow] = []
@@ -614,7 +608,5 @@ def _convergence_rows(rhs_by_n: dict, sigma: float, dims, gh_nodes: int,
             g_hi = hi["grad"][a](pts)
             acc += (g_lo - g_hi) ** 2
         d_grad = math.sqrt(float(np.sum(rule.weights * acc)))
-        rows.append(ConvergenceRow(n, d_l2, d_grad, lo["residual"], hi["residual"], sigma,
-                                   lo["iterations"], hi["iterations"],
-                                   lo["unknowns"], hi["unknowns"]))
+        rows.append(ConvergenceRow(n, d_l2, d_grad, lo["residual"], hi["residual"], sigma))
     return rows

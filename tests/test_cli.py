@@ -156,6 +156,27 @@ class TestExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("suite, user, key, kind", [
+        # a record where a list belongs once crashed in build_domain with exit 1
+        ("curvature",
+         {"domains": {"type": "ball", "dim": 2, "parameters": {"radius": 0.9}}},
+         "domains", "list"),
+        ("contract",
+         {**SMALL_CONTRACT_CFG, "sweeps": [
+             {**SMALL_CONTRACT_CFG["sweeps"][0],
+              "domain": {"type": "halfspace", "dim": 2, "parameters": [1.0]}}]},
+         "sweeps[0].domain.parameters", "record"),
+        ("oracle", {"cases": DEFAULT_CONFIGS["oracle"]["cases"][0]}, "cases", "list"),
+    ])
+    def test_wrong_container_type_exits_2(self, tmp_path, capsys, suite, user, key, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load config" in err and f"'{key}' must be a {kind}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_spacing_wider_than_box_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"lo": -8.0, "hi": 8.0, "h": 40.0, "dim": 1}}))
@@ -239,15 +260,20 @@ class TestContractRichardson:
                        for rec in rep.records)
 
 
+def solve_counters(sols) -> dict:
+    """The profile counters that the given solves make."""
+    return {"linear_solves": len(sols),
+            "cg_iterations": sum(s.iterations for s in sols),
+            "unknowns": sum(s.diagnostics["n_unknowns"] for s in sols)}
+
+
+def work_counters(rep) -> dict:
+    """A suite's profile less its wall time and memory."""
+    return {k: v for k, v in rep.profile.items() if k not in ("wall_s", "peak_rss_mb")}
+
+
 class TestSharedSweeps:
     """The lemma suite reads the solutions the contract suite just made."""
-
-    @staticmethod
-    def solve_profile(sols, reused):
-        return {"linear_solves": len(sols),
-                "cg_iterations": sum(s.iterations for s in sols),
-                "unknowns": sum(s.diagnostics["n_unknowns"] for s in sols),
-                "solutions_reused": reused}
 
     @staticmethod
     def lemma_report(path):
@@ -273,36 +299,37 @@ class TestSharedSweeps:
         # ru_maxrss of the whole process: it never falls between suites
         assert shared_doc["profile"]["peak_rss_mb"] >= alone_doc["profile"]["peak_rss_mb"] > 0.0
 
-    def test_no_solve_after_contract_and_store_emptied(self, solve_calls):
-        rep = suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+    def test_no_solve_after_contract_and_store_emptied(self, solve_calls, tmp_path):
+        rep = run_suite("contract", TWO_SWEEP_CONTRACT_CFG, tmp_path / "contract", seed=5)
         # sigma -> 0 rides along: 2 + 3 solves, every one counted
         assert len(solve_calls) == rep.profile["linear_solves"] == 5
-        assert rep.profile == self.solve_profile(solve_calls, 0)
+        assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 0}
         assert rep.profile["cg_iterations"] > 0
         assert len(cli._SOLVED_SWEEPS) == 2
         del solve_calls[:]
-        rep = cli.suite_lemma(TWO_SWEEP_LEMMA_CFG, seed=5)
+        rep = run_suite("lemma", TWO_SWEEP_LEMMA_CFG, tmp_path / "lemma", seed=5)
         assert solve_calls == []
-        assert rep.profile == {"linear_solves": 0, "cg_iterations": 0,
-                               "unknowns": 0, "solutions_reused": 3}
+        assert work_counters(rep) == {"linear_solves": 0, "cg_iterations": 0,
+                                      "unknowns": 0, "solutions_reused": 3}
         assert cli._SOLVED_SWEEPS == {}
 
-    def test_other_sigmas_solve_again(self, solve_calls):
-        suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+    def test_other_sigmas_solve_again(self, solve_calls, tmp_path):
+        run_suite("contract", TWO_SWEEP_CONTRACT_CFG, tmp_path / "contract", seed=5)
         half, ball = TWO_SWEEP_LEMMA_CFG["sweeps"]
         cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": [{**half, "sigmas": [2.0]}, ball]}
         del solve_calls[:]
-        rep = cli.suite_lemma(cfg, seed=5)
+        rep = run_suite("lemma", cfg, tmp_path / "lemma", seed=5)
         assert [sol.sigma for sol in solve_calls] == [2.0]
-        assert rep.profile == self.solve_profile(solve_calls, 2)
+        assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 2}
         assert cli._SOLVED_SWEEPS == {}
 
-    def test_other_solver_tol_solves_again(self, solve_calls):
-        suite_contract(TWO_SWEEP_CONTRACT_CFG, seed=5)
+    def test_other_solver_tol_solves_again(self, solve_calls, tmp_path):
+        run_suite("contract", TWO_SWEEP_CONTRACT_CFG, tmp_path / "contract", seed=5)
         del solve_calls[:]
-        rep = cli.suite_lemma({**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10}, seed=5)
+        rep = run_suite("lemma", {**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10},
+                        tmp_path / "lemma", seed=5)
         assert sorted(sol.sigma for sol in solve_calls) == [0.1, 1.0, 1.0]
-        assert rep.profile == self.solve_profile(solve_calls, 0)
+        assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 0}
         # the contract's entries stay until the next contract run empties them
         assert len(cli._SOLVED_SWEEPS) == 2
         suite_contract({**TWO_SWEEP_CONTRACT_CFG, "sweeps": []}, seed=5)
@@ -344,15 +371,20 @@ class TestProfile:
             assert len(live) == 11 and live[0] == 500
             assert all(a >= b for a, b in zip(live, live[1:]))
 
-    def test_converge_counts_each_solve_once(self, solve_calls, tmp_path):
+    def test_each_suite_counts_only_its_own_solves(self, solve_calls, tmp_path):
+        # one process, one solver tally: run_suite zeroes it before each suite
+        rep = run_suite("contract", SMALL_CONTRACT_CFG, tmp_path / "contract", seed=1)
+        assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 0}
+        assert rep.profile["linear_solves"] == 2
+        n_contract = len(solve_calls)
         # dims 1 and 2 solve n = 1, 2, 3 at each sigma; n = 2 feeds two rows
         cfg = {**DEFAULT_CONFIGS["converge"], "dims": [1, 2], "h": 0.6, "gh_nodes": 6}
-        rep = run_suite("converge", cfg, tmp_path, seed=1)
-        assert [s.u.grid.dim for s in solve_calls] == [1, 2, 3, 1, 2, 3]
-        assert {k: rep.profile[k] for k in ("linear_solves", "cg_iterations", "unknowns")} == {
-            "linear_solves": 6,
-            "cg_iterations": sum(s.iterations for s in solve_calls),
-            "unknowns": sum(s.diagnostics["n_unknowns"] for s in solve_calls)}
+        rep = run_suite("converge", cfg, tmp_path / "converge", seed=1)
+        assert [s.u.grid.dim for s in solve_calls[n_contract:]] == [1, 2, 3, 1, 2, 3]
+        assert work_counters(rep) == solve_counters(solve_calls[n_contract:])
+        rep = run_suite("curvature", small_curvature_cfg(0.9), tmp_path / "curvature", seed=1)
+        assert len(solve_calls) == n_contract + 6
+        assert work_counters(rep) == solve_counters([])
 
     def test_cli_import_leaves_out_sparse_linalg(self):
         # the solver owns its CG loop; scipy.sparse.linalg costs set-up time
@@ -457,10 +489,19 @@ class TestReports:
                       if p.is_file()) == ["plotdata/empty.csv", "report.json",
                                           "solve_solution.csv"]
         g = cfg["grid"]
-        n_interior = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g["dim"]).n_interior
+        grid = GaussianGrid.build(None, g["lo"], g["hi"], g["h"], dim=g["dim"])
+        n_interior = grid.n_interior
+        # the rows are the nodes the Hermite record reads, not the box faces
+        x0 = grid.node_coordinates()[:, 0]
+        window = x0[np.abs(x0) <= cfg["oracle_window"]]
         table = rep.tables["solution"]
         assert table.columns == ["x0", "u", "grad_norm"]
-        assert len(table.rows) == n_interior
+        assert [row[0] for row in table.rows] == window.tolist()
+        assert len(window) == 351 < n_interior == 801
+        k, sigma = cfg["hermite_degree"], cfg["sigma"]
+        exact = oucontract.hermite_poly(k, window) / (1.0 + sigma * k)
+        u = np.array([row[1] for row in table.rows])
+        assert np.max(np.abs(u - exact)) <= cfg["oracle_tol"]
         assert all(type(v) is float for row in table.rows for v in row)
         # every field below the comment and header is a plain number
         comment, header, *rows = (tmp_path / "solve_solution.csv").read_text().splitlines()

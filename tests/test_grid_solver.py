@@ -586,6 +586,18 @@ class TestSolve:
         assert np.all(sol.u.values == 0.0)
         assert sol.converged
 
+    def test_tally_counts_every_solve(self, halfline_grid, monkeypatch):
+        monkeypatch.setattr(solver, "tally", dict.fromkeys(solver.tally, 0))
+        bump = ScalarField.from_callable(
+            halfline_grid, lambda p: np.exp(-((p[:, 0] + 3) ** 2))
+        )
+        sols = [solve_resolvent(ResolventJob(halfline_grid, 1.0, rhs))
+                for rhs in (ScalarField.zeros(halfline_grid), bump)]
+        # a zero right-hand side is a solve too, of 0 iterations
+        assert sols[0].iterations == 0 < sols[1].iterations
+        assert solver.tally == {"linear_solves": 2, "cg_iterations": sols[1].iterations,
+                                "unknowns": 2 * halfline_grid.n_interior}
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_hermite_eigen_oracle(self, line_grid, sigma, k):

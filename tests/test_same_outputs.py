@@ -33,13 +33,23 @@ def test_identical_trees(trees, capsys):
 
 
 def test_report_differing_only_in_profile_and_time(tmp_path, capsys):
-    a = _tree(tmp_path / "a", {"wall_s": 1.0})
-    b = _tree(tmp_path / "b", {"wall_s": 2.5, "linear_solves": 3})
+    a = _tree(tmp_path / "a", {"wall_s": 1.0, "peak_rss_mb": 60.0, "linear_solves": 3})
+    b = _tree(tmp_path / "b", {"wall_s": 2.5, "peak_rss_mb": 75.5, "linear_solves": 3})
     doc = json.loads((b / "solve" / "report.json").read_text())
     doc["generated_at"] = "2027-06-30T12:00:00Z"
     (b / "solve" / "report.json").write_text(json.dumps(doc, indent=2))
     assert same_outputs.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("counters", [{"linear_solves": 4}, {}])
+def test_profile_counter_change_is_reported(tmp_path, capsys, counters):
+    # one more solve, or a counter gone: the work changed, not only the time
+    a = _tree(tmp_path / "a", {"wall_s": 1.0, "linear_solves": 3})
+    b = _tree(tmp_path / "b", {"wall_s": 1.0, **counters})
+    assert same_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: {Path('solve', 'report.json')}"]
 
 
 def test_payload_change_is_reported(trees, capsys):

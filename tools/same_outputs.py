@@ -3,9 +3,11 @@
 Usage: python tools/same_outputs.py DIR_A DIR_B
 
 Both trees must hold the same relative file paths.  A ``report.json``
-matches when its ``payload`` equals the other's; its ``generated_at`` and
-``profile`` blocks (timestamp and timings) are ignored.  Every other file
-must be byte-identical.  One line is printed per differing, missing or
+matches when its ``payload`` and its ``profile`` equal the other's; only
+the timestamp ``generated_at`` and the profile's ``wall_s`` and
+``peak_rss_mb`` are ignored, so work counters such as ``linear_solves``
+must match too, and a change that adds or drops work shows as a
+difference.  Every other file must be byte-identical.  One line is printed per differing, missing or
 extra file; the exit status is 0 when everything matches and 1 otherwise
 (2 when the arguments are not two directories).
 """
@@ -21,14 +23,22 @@ def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
-def _payload(path: Path) -> str:
-    # compared as canonical text, so a NaN matches itself and 1 differs from 1.0
-    return json.dumps(json.loads(path.read_text())["payload"], sort_keys=True)
+_VOLATILE = ("wall_s", "peak_rss_mb")  # profile entries that vary run to run
+
+
+def _report(path: Path) -> str:
+    """Payload and profile, less its volatile entries, as canonical text.
+
+    As text, a NaN matches itself and 1 differs from 1.0.
+    """
+    doc = json.loads(path.read_text())
+    profile = {k: v for k, v in doc["profile"].items() if k not in _VOLATILE}
+    return json.dumps([doc["payload"], profile], sort_keys=True)
 
 
 def _same(a: Path, b: Path) -> bool:
     if a.name == "report.json":
-        return _payload(a) == _payload(b)
+        return _report(a) == _report(b)
     return a.read_bytes() == b.read_bytes()
 
 
