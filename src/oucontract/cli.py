@@ -2,12 +2,13 @@
 
 Subcommands: curvature, solve, contract, lemma, oracle, wiener, converge,
 all.  A run is fixed by its suite, its config (``--config`` overrides the
-defaults here key by key) and ``--seed``; ``--out`` only says where it is
-written.  Every suite takes (config, seed) and reports each bound exactly
-as its config states it, so a run is reproducible from its own report.
+suite's defaults, shipped as ``configs/<suite>.json`` in this package, key
+by key) and ``--seed``; ``--out`` only says where it is written.  Every
+suite takes (config, seed) and reports each bound exactly as its config
+states it, so a run is reproducible from its own report.
 Exit codes: 0 all asserted checks pass, 1 at least one asserted check
 failed, 2 configuration could not be loaded, holds a key the suite does not
-know or an invalid value.
+know or an invalid value, or the command line is malformed.
 """
 
 from __future__ import annotations
@@ -39,136 +40,7 @@ from .feynman_kac import mc_resolvent
 from .solver import solve_resolvent
 
 DEFAULT_SEED = 20260801
-SIGMA_ZERO = 1e-4
-
-_HALFSPACE_SWEEP = {
-    "name": "halfspace",
-    "domain": {"type": "halfspace", "dim": 2, "parameters": {"offset": 1.0}},
-    "grid": {"lo": -8.0, "hi": 8.0, "h": 0.1},
-    "sigmas": [0.1, 1.0, 10.0],
-    # p = 1 rides along for the record but is never asserted
-    "ps": [1.0, 1.5, 2.0, 3.0, 4.0],
-    "bumps": [
-        {"center": [-3.0, 0.0], "radius": 1.0, "margin": 0.5},
-        {"center": [-2.5, 1.5], "radius": 1.0, "margin": 0.4},
-        {"center": [-4.0, -1.0], "radius": 1.2, "margin": 0.5},
-    ],
-    "assert_contractive": True,
-}
-
-_BALL_SWEEP = {
-    "name": "ball",
-    "domain": {"type": "ball", "dim": 2, "parameters": {"radius": 1.0}},
-    "grid": {"lo": -1.3, "hi": 1.3, "h": 0.025},
-    "sigmas": [0.1, 1.0, 10.0],
-    "ps": [1.5, 2.0, 3.0, 4.0],
-    "bumps": [
-        {"center": [0.0, 0.0], "radius": 0.45, "margin": 0.3},
-        {"center": [0.25, 0.0], "radius": 0.45, "margin": 0.25},
-        {"center": [-0.1, -0.2], "radius": 0.5, "margin": 0.2},
-    ],
-    "assert_contractive": True,
-}
-
-_CYLINDRICAL_SWEEP = {
-    "name": "cylindrical-affine",
-    "domain": {"type": "cylindrical", "spec": "affine", "m": 2},
-    "grid": {"lo": -8.0, "hi": 8.0, "h": 0.1},
-    "sigmas": [0.1, 1.0, 10.0],
-    "ps": [1.5, 2.0, 3.0, 4.0],
-    "bumps": [
-        {"center": [-3.180, -0.353], "radius": 1.0, "margin": 0.4},
-        {"center": [-3.975, -0.442], "radius": 1.2, "margin": 0.8},
-        {"center": [-3.611, 0.806], "radius": 1.0, "margin": 0.6},
-    ],
-    "assert_contractive": True,
-}
-
-DEFAULT_CONFIGS: dict[str, dict] = {
-    "curvature": {
-        "n_samples": 160,
-        "tol": 1e-8,
-        "domains": [
-            {"type": "halfspace", "dim": 2, "parameters": {"offset": 1.0},
-             "assert_nonnegative": True},
-            {"type": "ball", "dim": 2, "parameters": {"radius": 0.9},
-             "assert_nonnegative": True},
-            {"type": "ball", "dim": 3, "parameters": {"radius": 1.0},
-             "assert_nonnegative": True},
-        ],
-    },
-    "solve": {
-        "grid": {"lo": -8.0, "hi": 8.0, "h": 0.02, "dim": 1},
-        "sigma": 1.0,
-        "hermite_degree": 2,
-        "oracle_window": 3.5,
-        "oracle_tol": 1e-3,
-        "solver_tol": 1e-10,
-    },
-    "contract": {
-        "sweeps": [_HALFSPACE_SWEEP, _BALL_SWEEP, _CYLINDRICAL_SWEEP],
-        "sigma_zero": SIGMA_ZERO,
-        "sigma_zero_band": [0.9, 1.02],
-        "solver_tol": 1e-10,
-    },
-    "lemma": {
-        "sweeps": [_HALFSPACE_SWEEP, _BALL_SWEEP, _CYLINDRICAL_SWEEP],
-        "eps": 1e-3,
-        "pointwise_tol_h": 5.0,
-        "slope_tol_h": 10.0,
-        "flux_tol_h": 20.0,
-        "n_boundary_samples": 40,
-        "solver_tol": 1e-10,
-    },
-    "oracle": {
-        "n_paths": 200_000,
-        "dt": 1e-3,
-        # moderate sigma keeps the discounted boundary traffic, and with it
-        # the O(sqrt(dt)) exit bias of grid-time killing, well under the
-        # Monte Carlo noise floor at this path budget
-        "sigma": 0.4,
-        "cases": [
-            {
-                "name": "halfline",
-                "domain": {"type": "halfspace", "dim": 1, "parameters": {"offset": 1.0}},
-                "grid": {"lo": -8.0, "hi": 8.0, "h": 0.02},
-                "bump": {"center": [-3.2], "radius": 1.0, "margin": 0.5},
-                "probes": [[-4.6], [-3.8], [-3.0]],
-            },
-            {
-                "name": "halfspace2d",
-                "domain": {"type": "halfspace", "dim": 2, "parameters": {"offset": 1.0}},
-                "grid": {"lo": -8.0, "hi": 8.0, "h": 0.025},
-                "bump": {"center": [-3.2, 0.0], "radius": 1.0, "margin": 0.5},
-                "probes": [[-4.2, 0.5], [-3.4, -0.5]],
-            },
-        ],
-    },
-    "wiener": {
-        "basel_m": 1000,
-        "basel_tol": 2e-3,
-        "bm_trace_m": 200,
-        "bm_trace_tol": 1e-3,
-        "bridge_trace_m": 500,
-        "bridge_trace_tol": 2e-3,
-        "audit_samples": 48,
-        "audit_m": [2, 3],
-        "audit_tol": 1e-6,
-    },
-    "converge": {
-        "spec": "reference_bm",
-        "dims": [1, 2],
-        "sigma": 1.0,
-        "sigma_zero": SIGMA_ZERO,
-        "box": 6.0,
-        "h": 0.15,
-        "bump_center": 3.2,
-        "bump_radius": 1.0,
-        "gh_nodes": 20,
-        "d_zero_limit": 0.02,
-        "solver_tol": 1e-9,
-    },
-}
+CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 _SHIPPED_SPECS = {
     "affine": lambda: wiener.affine_level_spec(r=-1.0, kind=BM),
@@ -668,7 +540,8 @@ def _unknown_keys(value, schema, where: str = "") -> list[str]:
 
 
 def _load_config(suite: str, path: str | None) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIGS.get(suite, {})))  # deep copy
+    """The suite's shipped defaults, overridden key by key by the file at path."""
+    cfg = json.loads((CONFIG_DIR / f"{suite}.json").read_text(encoding="utf-8"))
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
@@ -683,6 +556,17 @@ def _load_config(suite: str, path: str | None) -> dict:
     return cfg
 
 
+DEFAULT_CONFIGS: dict[str, dict] = {name: _load_config(name, None) for name in _SUITES}
+
+
+def _seed(text: str) -> int:
+    """The type of ``--seed``: numpy's generators take no negative seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oucontract",
@@ -693,7 +577,7 @@ def main(argv=None) -> int:
     parser.add_argument("suite", choices=sorted(_SUITES) + ["all"])
     parser.add_argument("--config", default=None, help="JSON config overriding defaults")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
 
     if args.suite == "all" and args.config is not None:

@@ -181,10 +181,12 @@ def project_to_boundary(
     x0 + t * u, u = grad G(x0)/|grad G(x0)|, then refined by bisection
     with Newton polish.  A ray with no sign change, which can pass beside
     an elongated domain, is marched again from its point of least |G|
-    along the gradient there, at most _PROJECTION_RESTARTS times.  Fails
-    if no ray finds a sign change.
+    along the gradient there, at most _PROJECTION_RESTARTS times.  Only if
+    no ray finds a sign change, Newton on G from the original x0,
+    x <- x - G grad G / |grad G|^2, takes over; it fails if that does not
+    reach |G| <= tol_bd either.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = x_start = np.asarray(x0, dtype=float)
     if tol_bd is None:
         tol_bd = default_boundary_tol(dom, x0)
     for _ in range(_PROJECTION_RESTARTS + 1):
@@ -220,6 +222,17 @@ def project_to_boundary(
             break
         x0 = x0 + t_near * u
     if t_hi is None:
+        # every ray passed beside the domain (as on a thin ellipse): Newton on G
+        x = x_start
+        for _ in range(100):
+            gx = dom.value(x)
+            if abs(gx) <= tol_bd:
+                return BoundaryPoint(x, outer_normal(dom, x), gx)
+            grad = dom.gradient(x)
+            gnorm2 = float(grad @ grad)
+            if gnorm2 < 1e-24:
+                raise DegenerateLevelSetError(f"degenerate level set at {x}")
+            x = x - (gx / gnorm2) * grad
         raise ProjectionError("no boundary along search direction")
 
     for _ in range(_BISECTION_STEPS):

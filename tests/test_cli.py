@@ -108,6 +108,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "curvature-nonnegative" in err
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "invalid config" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")
@@ -565,26 +573,20 @@ class TestPlotdataShapes:
         assert content[0].startswith("#")
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 NEGATIVE_CONTROL = "curvature_negative_control.json"
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
-    def test_config_file_matches_defaults(self, suite):
-        path = CONFIG_DIR / f"{suite}.json"
-        assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]
-
     def test_negative_control_config_exits_1(self, tmp_path, capsys):
         # the README's negative-control command: ball R = 1.5 in d = 2
-        code = main(["curvature", "--config", str(CONFIG_DIR / NEGATIVE_CONTROL),
+        code = main(["curvature", "--config", str(cli.CONFIG_DIR / NEGATIVE_CONTROL),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "curvature-nonnegative" in capsys.readouterr().err
 
     def test_negative_control_failing_record_carries_inputs(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["curvature", "--config", str(CONFIG_DIR / NEGATIVE_CONTROL),
+        assert main(["curvature", "--config", str(cli.CONFIG_DIR / NEGATIVE_CONTROL),
                      "--out", str(out)]) == 1
         rows = json.loads((out / "report.json").read_text())["payload"]["records"]
         (row,) = [r for r in rows if r["name"].startswith("curvature-nonnegative")]
@@ -593,9 +595,18 @@ class TestShippedConfigs:
         assert digest(row["inputs"]) == row["inputs_digest"]
 
     def test_every_config_file_is_covered(self):
-        covered = {f"{suite}.json" for suite in DEFAULT_CONFIGS} | {NEGATIVE_CONTROL}
-        shipped = {p.name for p in CONFIG_DIR.rglob("*") if p.is_file()}
+        # one defaults file per suite, plus the negative control
+        covered = {f"{suite}.json" for suite in cli._SUITES} | {NEGATIVE_CONTROL}
+        shipped = {p.name for p in cli.CONFIG_DIR.rglob("*") if p.is_file()}
         assert shipped == covered
+
+    def test_loaded_config_is_a_fresh_copy(self):
+        cfg = cli._load_config("contract", None)
+        cfg["sweeps"][0]["bumps"][0]["center"][0] = 99.0
+        cfg["solver_tol"] = 1.0
+        for again in (DEFAULT_CONFIGS["contract"], cli._load_config("contract", None)):
+            assert again["sweeps"][0]["bumps"][0]["center"][0] == -3.0
+            assert again["solver_tol"] == 1e-10
 
 
 class TestConvergeSuite:

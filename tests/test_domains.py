@@ -178,6 +178,21 @@ class TestCurvatureAudit:
             h_gamma = kappa - 1.0 / np.sqrt(x**2 / a**4 + y**2 / b**4)
             assert np.max(np.abs(audit.values - h_gamma)) <= 1e-6
 
+    @pytest.mark.parametrize("b", [0.25, 0.1])
+    def test_thin_ellipse_projects_every_draw(self, b):
+        # some draws have no gradient ray that meets so thin an ellipse, and
+        # Newton on G projects them
+        dom = ellipsoid([1.0, b])
+        draws = np.random.default_rng(6).standard_normal((200, 2))
+        audit = curvature_audit(dom, 200, np.random.default_rng(6))
+        tol_bd = 1e-10 * (1.0 + np.abs(dom.value(draws)))
+        assert np.all(np.abs(dom.value(audit.points)) <= tol_bd)
+        x, y = audit.points.T
+        t = np.arctan2(y / b, x)
+        kappa = b / (np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
+        h_gamma = kappa - 1.0 / np.sqrt(x**2 + y**2 / b**4)
+        assert np.max(np.abs(audit.values - h_gamma) / np.maximum(1.0, h_gamma)) <= 1e-6
+
     def test_ellipsoid_in_3d_projects_every_draw(self):
         dom = ellipsoid([1.0, 2.0, 0.7])
         for seed in range(6, 12):
