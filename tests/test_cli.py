@@ -577,6 +577,14 @@ NEGATIVE_CONTROL = "curvature_negative_control.json"
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
+    def test_config_file_matches_defaults(self, suite):
+        # the shipped file, passed back as --config, passes the key check
+        # at every level and reproduces the defaults
+        path = cli.CONFIG_DIR / f"{suite}.json"
+        assert cli._load_config(suite, str(path)) == DEFAULT_CONFIGS[suite]
+        assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]
+
     def test_negative_control_config_exits_1(self, tmp_path, capsys):
         # the README's negative-control command: ball R = 1.5 in d = 2
         code = main(["curvature", "--config", str(cli.CONFIG_DIR / NEGATIVE_CONTROL),
