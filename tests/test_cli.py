@@ -583,7 +583,6 @@ class TestShippedConfigs:
         # at every level and reproduces the defaults
         path = cli.CONFIG_DIR / f"{suite}.json"
         assert cli._load_config(suite, str(path)) == DEFAULT_CONFIGS[suite]
-        assert json.loads(path.read_text(encoding="utf-8")) == DEFAULT_CONFIGS[suite]
 
     def test_negative_control_config_exits_1(self, tmp_path, capsys):
         # the README's negative-control command: ball R = 1.5 in d = 2

@@ -167,7 +167,7 @@ class TestCurvatureAudit:
     @pytest.mark.parametrize("a,b", [(1.0, 0.6), (2.0, 0.5)])
     def test_ellipse_matches_closed_form(self, a, b):
         # from outside, a draw's gradient ray can pass beside the ellipse, and
-        # the projection then marches again from that ray's point of least |G|
+        # Newton on G then projects it
         dom = ellipsoid([a, b])
         for seed in range(6, 12):
             audit = curvature_audit(dom, 200, np.random.default_rng(seed))
@@ -180,13 +180,13 @@ class TestCurvatureAudit:
 
     @pytest.mark.parametrize("b", [0.25, 0.1])
     def test_thin_ellipse_projects_every_draw(self, b):
-        # some draws have no gradient ray that meets so thin an ellipse, and
-        # Newton on G projects them
+        # many draws have a gradient ray that misses so thin an ellipse, and
+        # Newton on G projects them as far below tol_bd as the ray's polish does
         dom = ellipsoid([1.0, b])
         draws = np.random.default_rng(6).standard_normal((200, 2))
         audit = curvature_audit(dom, 200, np.random.default_rng(6))
         tol_bd = 1e-10 * (1.0 + np.abs(dom.value(draws)))
-        assert np.all(np.abs(dom.value(audit.points)) <= tol_bd)
+        assert np.all(np.abs(dom.value(audit.points)) <= 1e-3 * tol_bd)
         x, y = audit.points.T
         t = np.arctan2(y / b, x)
         kappa = b / (np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
