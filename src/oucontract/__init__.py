@@ -17,7 +17,6 @@ from .domains import (
     LevelSetDomain,
     ball,
     curvature_audit,
-    domain_from_spec,
     ellipsoid,
     epigraph,
     gaussian_curvature,

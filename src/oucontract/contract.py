@@ -131,7 +131,7 @@ def make_bump(
     pts = center + (radius + margin) * dirs
     if np.any(np.asarray(domain.value(pts)) >= 0.0):
         raise ValueError("support not compactly inside O")
-    name = label if label is not None else f"bump(c={list(np.round(center, 3))},r={radius})"
+    name = label if label is not None else f"bump(c={np.round(center, 3).tolist()},r={radius})"
     return BumpFunction(center, radius, label=name)
 
 

@@ -376,7 +376,7 @@ def ellipsoid(semi_axes) -> LevelSetDomain:
         return 2.0 * np.diag(inv2)
 
     return LevelSetDomain(dim, g, grad, hess, grad_floor=min(1.0, float(np.min(1.0 / a))),
-                          name=f"ellipsoid({list(a)})")
+                          name=f"ellipsoid({a.tolist()})")
 
 
 def epigraph(dim: int, phi, phi_grad, phi_hess, grad_floor: float = 0.5,
@@ -412,61 +412,48 @@ def polynomial_domain(dim: int, terms) -> LevelSetDomain:
     """G given by a coefficient table [(coeff, powers), ...].
 
     ``powers`` is a length-dim tuple of nonnegative integer exponents;
-    gradient and Hessian are the exact term-by-term derivatives.
+    gradient and Hessian are the exact term-by-term derivatives, each a
+    table of its own, evaluated like G.
     """
     coeffs = np.array([float(t[0]) for t in terms])
     powers = np.array([list(map(int, t[1])) for t in terms], dtype=int)
     if powers.shape[1] != dim:
         raise ValueError("each powers tuple must have length dim")
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
+    def derivative(table, i):
+        """The table of d/dx_i of the polynomial with this table."""
+        c, pw = table
+        keep = pw[:, i] > 0
+        c, pw = c[keep] * pw[keep, i], pw[keep]
+        pw[:, i] -= 1
+        return c, pw
+
+    def evaluate(table, x):
+        c, pw = table
         batch = x.reshape(-1, dim)
         vals = np.zeros(batch.shape[0])
-        for c, pw in zip(coeffs, powers):
-            term = np.full(batch.shape[0], c)
+        for ck, pk in zip(c, pw):
+            term = np.full(batch.shape[0], ck)
             for i in range(dim):
-                if pw[i]:
-                    term = term * batch[:, i] ** pw[i]
+                if pk[i]:
+                    term = term * batch[:, i] ** pk[i]
             vals += term
         return vals.reshape(x.shape[:-1])
 
+    table = (coeffs, powers)
+    grad_tables = [derivative(table, i) for i in range(dim)]
+    hess_tables = [[derivative(t, j) for j in range(dim)] for t in grad_tables]
+
+    def g(x):
+        return evaluate(table, np.asarray(x, dtype=float))
+
     def grad(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(dim)
-        for c, pw in zip(coeffs, powers):
-            for i in range(dim):
-                if pw[i] == 0:
-                    continue
-                term = c * pw[i]
-                for jj in range(dim):
-                    e = pw[jj] - (1 if jj == i else 0)
-                    if e:
-                        term = term * x[jj] ** e
-                out[i] += term
-        return out
+        return np.array([evaluate(t, x) for t in grad_tables])
 
     def hess(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros((dim, dim))
-        for c, pw in zip(coeffs, powers):
-            for i in range(dim):
-                for j in range(dim):
-                    pij = list(pw)
-                    fac = c * pij[i]
-                    pij[i] -= 1
-                    if pij[i] < 0:
-                        continue
-                    fac *= pij[j]
-                    pij[j] -= 1
-                    if pij[j] < 0 or fac == 0:
-                        continue
-                    term = fac
-                    for jj in range(dim):
-                        if pij[jj]:
-                            term = term * x[jj] ** pij[jj]
-                    out[i, j] += term
-        return out
+        return np.array([[evaluate(t, x) for t in row] for row in hess_tables])
 
     return LevelSetDomain(dim, g, grad, hess, name="polynomial")
 
@@ -489,19 +476,3 @@ def rotated(dom: LevelSetDomain, rot: np.ndarray) -> LevelSetDomain:
     return LevelSetDomain(dom.dim, g, grad, hess, grad_floor=dom.grad_floor,
                           name=f"rotated({dom.name})")
 
-
-def domain_from_spec(spec: dict) -> LevelSetDomain:
-    """Build a library domain from a parsed {type, dim, parameters} record."""
-    kind = spec.get("type")
-    dim = int(spec.get("dim", 0))
-    params = spec.get("parameters", {})
-    if kind == "halfspace":
-        return halfspace(dim, float(params["offset"]), int(params.get("axis", 0)))
-    if kind == "ball":
-        return ball(dim, float(params["radius"]), params.get("center"))
-    if kind == "ellipsoid":
-        return ellipsoid(params["semi_axes"])
-    if kind == "polynomial":
-        terms = [(t["coeff"], t["powers"]) for t in params["terms"]]
-        return polynomial_domain(dim, terms)
-    raise ValueError(f"unknown domain type {kind!r}")

@@ -267,24 +267,6 @@ def rational_reference_spec(kind: str = BM, r: float = -0.75) -> FunctionalSpec:
                           kind=kind, name=f"rational_reference({kind},r={r})")
 
 
-def functional_spec_from_dict(d: dict) -> FunctionalSpec:
-    gdef = d["g"]
-    if gdef["type"] == "poly":
-        g, gp, gpp = _rational_funcs(gdef["coeffs"], [1.0])
-    elif gdef["type"] == "rational":
-        g, gp, gpp = _rational_funcs(gdef["num"], gdef["den"])
-    else:
-        raise ValueError(f"unsupported g type {gdef['type']!r}")
-    return FunctionalSpec(
-        g, gp, gpp,
-        c=float(d["c"]),
-        alpha1=float(d["alpha1"]), alpha2=float(d["alpha2"]),
-        beta1=float(d["beta1"]), beta2=float(d["beta2"]),
-        r=float(d["r"]), gpp_sup=float(d["gpp_sup"]),
-        kind=d.get("kind", BM), name=d.get("name", "functional"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # induced level-set domains on R^m
 
@@ -446,15 +428,6 @@ def gauss_ridge_epigraph(c0: float, amp: float, weights) -> EpigraphSpec:
 
     return EpigraphSpec(phi, phi_grad, phi_hess, C=c0, C1=amp * wn2, C2=0.0,
                         C3=amp * wn2, name=f"gauss_ridge(c0={c0},A={amp})")
-
-
-def epigraph_spec_from_dict(d: dict) -> EpigraphSpec:
-    kind = d.get("kind")
-    if kind == "constant":
-        return constant_epigraph(float(d["C"]))
-    if kind == "gauss_ridge":
-        return gauss_ridge_epigraph(float(d["c0"]), float(d["amp"]), d["weights"])
-    raise ValueError(f"unsupported epigraph kind {kind!r}")
 
 
 def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:

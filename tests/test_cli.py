@@ -185,6 +185,23 @@ class TestExitCodes:
         assert "cannot load config" in err and f"'{key}' must be a {kind}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("domain, message", [
+        ({"type": "ellipsoid", "dim": 3, "parameters": {"semi_axes": [1.0, 0.6]}},
+         "domain 'dim' is 3, but its parameters give dimension 2"),
+        ({"type": "halfspace", "parameters": {"offset": 1.0}},
+         "a halfspace domain record needs a 'dim'"),
+        ({"type": "ball", "parameters": {"radius": 0.9}},
+         "a ball domain record needs a 'dim'"),
+    ], ids=["ellipsoid-dim-3", "halfspace-no-dim", "ball-no-dim"])
+    def test_domain_dim_missing_or_contradicted_exits_2(self, tmp_path, capsys, domain,
+                                                        message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_samples": 4, "domains": [domain]}))
+        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and message in err
+
     def test_spacing_wider_than_box_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"lo": -8.0, "hi": 8.0, "h": 40.0, "dim": 1}}))
@@ -241,11 +258,11 @@ class TestContractRichardson:
         expected = []
         for r in fine.records:
             ex_coarse = excesses.get((r.bump, r.sigma, r.p), 0.0)
-            if ex_coarse > 1e-6 and r.converged:
+            if ex_coarse > 1e-6:
                 expected.append((
                     f"contract-richardson:halfspace:{r.bump}:sigma={r.sigma}:p={r.p}",
                     r.ratio - 1.0, ex_coarse / 2.0 + 1e-9,
-                    r.ratio - 1.0 <= ex_coarse / 2.0 + 1e-9, r.p > 1.0))
+                    r.converged and r.ratio - 1.0 <= ex_coarse / 2.0 + 1e-9, r.p > 1.0))
         got = [(rec.name, rec.observed, rec.bound, rec.passed, rec.asserted)
                for rec in rep.records if rec.name.startswith("contract-richardson:")]
         assert expected
@@ -266,6 +283,23 @@ class TestContractRichardson:
                    if rec.name.startswith("contract:")) <= 1.0 + 1e-6
         assert not any(rec.name.startswith("contract-richardson:")
                        for rec in rep.records)
+
+
+class TestUnconvergedSolves:
+    """A record computed from a solve that did not converge fails."""
+
+    def test_contract_and_lemma_records_fail(self, monkeypatch, solve_calls, tmp_path):
+        monkeypatch.setattr(solver, "_iteration_budget", lambda n_unknowns: 3)
+        contract = suite_contract(SMALL_CONTRACT_CFG, seed=1)
+        lemma = run_suite("lemma", {**TWO_SWEEP_LEMMA_CFG,
+                                    "sweeps": SMALL_CONTRACT_CFG["sweeps"]},
+                          tmp_path, seed=1)
+        assert solve_calls and not any(sol.converged for sol in solve_calls)
+        for rep in (contract, lemma):
+            assert rep.records and not rep.ok
+            assert not any(rec.passed for rec in rep.records)
+        # p = 2 only: every contract record is asserted, as is every lemma record
+        assert all(rec.asserted for rec in contract.records + lemma.records)
 
 
 def solve_counters(sols) -> dict:
@@ -459,6 +493,52 @@ class TestDomainBuilding:
         code = main(["curvature", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+# one record per row of the domain table, holding every key its schema takes
+FULL_DOMAIN_RECORDS = {
+    ("halfspace", None): {"offset": 1.0, "axis": 1},
+    ("ball", None): {"radius": 0.9, "center": [0.0, 0.1]},
+    ("ellipsoid", None): {"semi_axes": [1.0, 0.6]},
+    ("polynomial", None): {"terms": [{"coeff": 1.0, "powers": [2, 0]},
+                                     {"coeff": 1.0, "powers": [0, 2]},
+                                     {"coeff": -1.0, "powers": [0, 0]}]},
+    ("epigraph", "constant"): {"kind": "constant", "C": 1.0},
+    ("epigraph", "gauss_ridge"): {"kind": "gauss_ridge", "c0": 2.0, "amp": 0.5,
+                                  "weights": [1.0]},
+}
+
+
+def row_id(key):
+    return "-".join(filter(None, key))
+
+
+class TestDomainTable:
+    """The key check and build_domain read the same table."""
+
+    def test_every_row_has_a_full_record(self):
+        assert set(FULL_DOMAIN_RECORDS) == set(cli._DOMAIN_TABLE)
+        for key, params in FULL_DOMAIN_RECORDS.items():
+            assert set(params) == set(cli._DOMAIN_TABLE[key][0])
+
+    @pytest.mark.parametrize("key", list(FULL_DOMAIN_RECORDS), ids=row_id)
+    def test_full_record_loads_and_builds(self, tmp_path, key):
+        record = {"type": key[0], "dim": 2, "parameters": FULL_DOMAIN_RECORDS[key]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domains": [record]}))
+        assert cli._load_config("curvature", str(path))["domains"] == [record]
+        assert build_domain(record).dim == 2
+
+    @pytest.mark.parametrize("key", list(FULL_DOMAIN_RECORDS), ids=row_id)
+    def test_extra_parameter_key_exits_2(self, tmp_path, capsys, key):
+        record = {"type": key[0], "dim": 2,
+                  "parameters": {**FULL_DOMAIN_RECORDS[key], "extra": 1.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domains": [record]}))
+        code = main(["curvature", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'domains[0].parameters.extra'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReports:

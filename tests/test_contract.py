@@ -20,6 +20,7 @@ from oucontract.domains import (
     LevelSetDomain,
     ProjectionError,
     ball,
+    ellipsoid,
     halfspace,
     project_to_boundary,
 )
@@ -115,6 +116,12 @@ class TestBump:
             make_bump(ball(2, 1.0), [0.0, 0.0], 1.2, 0.0)
         with pytest.raises(ValueError, match="support not compactly inside"):
             make_bump(halfspace(2, 1.0), [-1.5, 0.0], 1.0, 0.2)
+
+    def test_default_names_print_plain_floats(self):
+        # numpy 2 prints a float64 in a list as np.float64(...)
+        assert ellipsoid([1.0, 0.6]).name == "ellipsoid([1.0, 0.6])"
+        bump = make_bump(ellipsoid([6.0, 4.0]), [-1.23456, 0.5], 1.0, 0.5)
+        assert bump.label == "bump(c=[-1.235, 0.5],r=1.0)"
 
 
 class TestGradientMagnitudeFields:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oucontract.cli import build_domain
 from oucontract.domains import (
     DegenerateLevelSetError,
     LevelSetDomain,
     ProjectionError,
     ball,
     curvature_audit,
-    domain_from_spec,
     ellipsoid,
     epigraph,
     gaussian_curvature,
@@ -247,7 +247,7 @@ class TestMonotoneAxis:
 
 class TestDomainSpecs:
     def test_halfspace_roundtrip(self):
-        dom = domain_from_spec(
+        dom = build_domain(
             {"type": "halfspace", "dim": 2, "parameters": {"offset": 2.0}}
         )
         assert dom.contains([-3.0, 0.0])
@@ -265,7 +265,7 @@ class TestDomainSpecs:
                 ]
             },
         }
-        dom = domain_from_spec(spec)
+        dom = build_domain(spec)
         ref = ball(2, 1.0)
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((20, 2))
@@ -280,6 +280,19 @@ class TestDomainSpecs:
         assert np.allclose(dom.gradient(x), [3.0, 2.0])
         assert np.allclose(dom.hessian(x), [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_polynomial_domain_mixed_cubic(self):
+        # G = x^2 y + 3 y z^3 - 2, derivatives written out by hand
+        dom = polynomial_domain(3, [(1.0, (2, 1, 0)), (3.0, (0, 1, 3)), (-2.0, (0, 0, 0))])
+        x, y, z = 0.7, -1.3, 1.1
+        pt = np.array([x, y, z])
+        assert dom.value(pt) == pytest.approx(x * x * y + 3 * y * z**3 - 2, rel=1e-14)
+        assert np.allclose(dom.gradient(pt), [2 * x * y, x * x + 3 * z**3, 9 * y * z * z],
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(dom.hessian(pt), [[2 * y, 2 * x, 0.0],
+                                             [2 * x, 0.0, 9 * z * z],
+                                             [0.0, 9 * z * z, 18 * y * z]],
+                           rtol=1e-14, atol=0.0)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
-            domain_from_spec({"type": "torus", "dim": 3, "parameters": {}})
+            build_domain({"type": "torus", "dim": 3, "parameters": {}})

@@ -15,7 +15,6 @@ from oucontract.wiener import (
     cylindrical_curvature_audit,
     cylindrical_domain,
     epigraph_curvature_audit,
-    functional_spec_from_dict,
     gauss_ridge_epigraph,
     pathwise_level_value,
     rational_reference_spec,
@@ -24,6 +23,12 @@ from oucontract.wiener import (
     validate_functional,
 )
 from oucontract.domains import gaussian_curvature, project_to_boundary
+
+
+def rational_spec(num, den=(1.0,), **constants):
+    """A FunctionalSpec whose profile g is the rational function num/den."""
+    g, gp, gpp = wiener._rational_funcs(num, den)
+    return wiener.FunctionalSpec(g, gp, gpp, **constants)
 
 
 class TestSeries:
@@ -88,11 +93,8 @@ class TestKLBasis:
 
     def test_quadrature_refinement_stable(self):
         # polynomial profile: doubling s-nodes moves G_m by < 1e-10
-        spec = functional_spec_from_dict({
-            "g": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.02]},
-            "c": 0.5, "alpha1": 1.0, "alpha2": 3.2, "beta1": -1.0, "beta2": 1.0,
-            "r": -1.0, "gpp_sup": 3.0,
-        })
+        spec = rational_spec([0.0, 1.0, 0.0, 0.02], c=0.5, alpha1=1.0, alpha2=3.2,
+                             beta1=-1.0, beta2=1.0, r=-1.0, gpp_sup=3.0)
         xi = np.array([0.7, -0.3])
         vals = []
         for panels in (16, 32):
@@ -112,25 +114,17 @@ class TestFunctionalValidation:
 
     def test_envelope_violation_carries_witness(self):
         # alpha2 = 1 cannot envelope xi g' for g = xi + xi^3/100
-        spec = functional_spec_from_dict({
-            "g": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.01]},
-            "c": 0.5, "alpha1": 1.0, "alpha2": 1.0, "beta1": -1.0, "beta2": 1.0,
-            "r": -2.0, "gpp_sup": 2.0,
-        })
+        spec = rational_spec([0.0, 1.0, 0.0, 0.01], c=0.5, alpha1=1.0, alpha2=1.0,
+                             beta1=-1.0, beta2=1.0, r=-2.0, gpp_sup=2.0)
         report = validate_functional(spec)
         assert not report.ok
         assert "envelope_upper" in report.failures
         assert "envelope_upper" in report.witness
 
-    def test_rational_spec_from_dict(self):
-        # the dict form of the shipped rational profile builds the same g
-        fspec = functional_spec_from_dict({
-            "g": {"type": "rational", "num": [0.0, -0.5, 0.0, -1.0],
-                  "den": [1.0, 0.0, 1.0]},
-            "c": 0.5, "alpha1": 1.0, "alpha2": 1.0,
-            "beta1": -0.33, "beta2": 0.33, "r": -0.75, "gpp_sup": 0.75,
-            "kind": "brownian_motion", "name": "dict-spec",
-        })
+    def test_rational_spec_from_coefficients(self):
+        # the shipped rational profile, rebuilt from its coefficients, is valid
+        fspec = rational_spec([0.0, -0.5, 0.0, -1.0], [1.0, 0.0, 1.0], c=0.5, alpha1=1.0,
+                              alpha2=1.0, beta1=-0.33, beta2=0.33, r=-0.75, gpp_sup=0.75)
         assert validate_functional(fspec).ok
         ref = rational_reference_spec()
         xi = np.linspace(-3, 3, 11)
@@ -153,11 +147,8 @@ class TestFunctionalValidation:
 SHIPPED_SPECS = {
     "affine": lambda: affine_level_spec(),
     "reference_bm": lambda: rational_reference_spec(kind=BM),
-    "poly-dict": lambda: functional_spec_from_dict({
-        "g": {"type": "poly", "coeffs": [0.0, 1.0, 0.0, 0.01]},
-        "c": 0.5, "alpha1": 1.0, "alpha2": 1.0, "beta1": -1.0, "beta2": 1.0,
-        "r": -2.0, "gpp_sup": 2.0,
-    }),
+    "poly": lambda: rational_spec([0.0, 1.0, 0.0, 0.01], c=0.5, alpha1=1.0, alpha2=1.0,
+                                  beta1=-1.0, beta2=1.0, r=-2.0, gpp_sup=2.0),
 }
 
 
