@@ -372,7 +372,7 @@ def suite_oracle(cfg, seed) -> SuiteReport:
             rows.append([case["name"], json.dumps(probe), fd, mc.value, mc.stderr])
             name = f"cross-oracle:{case['name']}:probe={j}"
             probes[name] = {"mc_steps_used": mc.n_steps_used,
-                            "live_paths": mc.live_paths}
+                            "live_paths": mc.live_paths, "normals": mc.normals}
             rep.add(CheckRecord(
                 name=name,
                 observed=diff, bound=bound, passed=diff <= bound,

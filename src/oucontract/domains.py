@@ -344,6 +344,8 @@ def halfspace(dim: int, offset: float, axis: int = 0) -> LevelSetDomain:
 def ball(dim: int, radius: float, center=None) -> LevelSetDomain:
     """O = {|x - c| < R}, level function G = |x - c|^2 - R^2."""
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (dim,):
+        raise ValueError(f"ball 'center' has shape {c.shape}, but 'dim' is {dim}")
 
     def g(x):
         x = np.asarray(x, dtype=float)

@@ -26,15 +26,24 @@ into a C-ordered (m, d) buffer and added transposed, so the random stream
 is that of a C-ordered (v, m, d) state, and so is every per-path sum
 whenever f and the level function give the same bits in either layout.
 
+The normals are drawn by a Box-Muller transform (Box & Muller 1958) on
+uniforms from the generator: for a block of N values and h = ceil(N/2),
+h float64 radii sqrt(-2 log(1 - u)) and h float32 angles 2 pi u' give
+r cos a in the block's first h slots and r sin a in the other N - h.
+The angle lies on a 2^-24 lattice and float32 sin and cos carry a
+relative error of about 1e-7 per normal; the largest |z| is
+sqrt(106 log 2), about 8.57.  The bits follow numpy's SIMD log, sin and
+cos, as the bump's exp already does.  A block of N values always takes
+the same generator outputs, so it can be drawn again from a saved state.
+
 The normals are drawn one step ahead on a worker thread, so each step's
 draw overlaps the previous step's update and kill test and its own f
 evaluation; numpy releases the GIL inside the draw and inside large
 array operations.  f and the level function are called only from the
 calling thread.  A draw is sized before the kill test that may compact
 the states; after a compaction the generator is rewound and the shorter
-block drawn again.  The normal stream is flat (k values and then l
-values are the first k + l values of one draw), so the random stream and
-every per-path sum are those of drawing each step's block in turn.
+block drawn again, so the random stream and every per-path sum are those
+of drawing each step's block in turn.
 
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
@@ -98,6 +107,8 @@ class McEstimate:
     n_steps_used: int = 0
     # paths alive at some start after each tenth of the steps (11 counts)
     live_paths: list[int] = field(default_factory=list)
+    # normals the state updates consumed (rewound and unused draws excluded)
+    normals: int = 0
 
 
 def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
@@ -105,8 +116,39 @@ def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
         raise ValueError(f"start point {x} is not interior to the domain")
 
 
+_TWO_PI = np.float32(2.0 * math.pi)
+
+
+def _normals(rng: np.random.Generator, out: np.ndarray, scratch) -> np.ndarray:
+    """Fill the C-contiguous ``out`` with Box-Muller normals and return it.
+
+    ``scratch`` is a float64 and a float32 array, each of at least
+    ceil(out.size / 2) values.  With N = out.size and h = ceil(N/2), the
+    flat block gets r cos a in its first h slots and r sin a in the other
+    N - h, from h float64 uniforms for the radii and h float32 uniforms
+    for the angles.
+    """
+    flat = out.reshape(-1)
+    n = flat.size
+    h = n - n // 2
+    r = scratch[0][:h]
+    a = scratch[1][:h]
+    rng.random(out=r)
+    np.subtract(1.0, r, out=r)  # in (0, 1], so the log is finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    rng.random(out=a, dtype=np.float32)
+    a *= _TWO_PI
+    np.cos(a, out=flat[:h])
+    flat[:h] *= r
+    np.sin(a[:n - h], out=flat[h:])
+    flat[h:] *= r[:n - h]
+    return out
+
+
 def _killed_paths(est: KilledPathEstimator, f,
-                  starts: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+                  starts: np.ndarray) -> tuple[np.ndarray, int, list[int], int]:
     """Per-path discounted occupation sums from v start points.
 
     Path j draws the same noise xi_k at every start (common random
@@ -123,14 +165,14 @@ def _killed_paths(est: KilledPathEstimator, f,
     compaction then shrinks m, the draw in flight is awaited, the
     generator's state saved just before it was submitted is put back, and
     the shorter block is drawn again.  Compactions are rare, so is this
-    redraw.  Normals come from one flat stream (k values then l values are
-    the first k + l values of one draw), so the stream, and every per-path
-    sum, is that of drawing each step's block in turn on one thread.  The
+    redraw.  So every per-path sum is that of drawing each step's block in
+    turn on one thread.  The worker alone uses the draw's scratch.  The
     ``with`` block joins the worker on return and on error.
 
     Returns the per-path estimates, shape (v, n_paths), the number of steps
-    run, and the number of paths alive at some start after each tenth of
-    ``est.n_steps`` (11 counts, from step 0).
+    run, the number of paths alive at some start after each tenth of
+    ``est.n_steps`` (11 counts, from step 0), and the number of normals the
+    state updates consumed.
     """
     v, d = starts.shape
     n = est.n_paths
@@ -142,13 +184,16 @@ def _killed_paths(est: KilledPathEstimator, f,
     path_id = np.arange(n)
     alive = np.ones((v, n), dtype=bool)
     noise = (np.empty((n, d)), np.empty((n, d)))
+    half = n * d - n * d // 2
+    scratch = (np.empty(half), np.empty(half, dtype=np.float32))
     sqrt_step = math.sqrt(2.0 * est.dt)
     decay = 1.0 - est.dt
     steps_used = 0
+    normals = 0
     marks = [i * n_steps // 10 for i in range(11)]  # steps run at each tenth
     live_paths = [n] * marks.count(0)
     with ThreadPoolExecutor(1, thread_name_prefix="oucontract-normals") as pool:
-        draw = pool.submit(rng.standard_normal, out=noise[0])
+        draw = pool.submit(_normals, rng, noise[0], scratch)
         for k in range(n_steps):
             steps_used = k + 1
             m = states.shape[2]
@@ -168,10 +213,11 @@ def _killed_paths(est: KilledPathEstimator, f,
             buf = draw.result()
             ahead = noise[(k + 1) % 2]
             rewind = rng.bit_generator.state
-            draw = pool.submit(rng.standard_normal, out=ahead[:m])
+            draw = pool.submit(_normals, rng, ahead[:m], scratch)
             states *= decay
             buf *= sqrt_step
             states += buf.T[:, None, :]
+            normals += buf.size
             n_live = m
             if est.domain is not None:
                 inside = np.asarray(est.domain.value(points)) < 0.0
@@ -186,7 +232,7 @@ def _killed_paths(est: KilledPathEstimator, f,
                         # the next step draws for the n_live kept columns only
                         draw.result()
                         rng.bit_generator.state = rewind
-                        draw = pool.submit(rng.standard_normal, out=ahead[:n_live])
+                        draw = pool.submit(_normals, rng, ahead[:n_live], scratch)
                         dead = ~live
                         totals[:, path_id[dead]] = acc[:, dead]
                         states = np.ascontiguousarray(states[:, :, live])
@@ -198,7 +244,7 @@ def _killed_paths(est: KilledPathEstimator, f,
     if path_id.size:
         totals[:, path_id] = acc
     live_paths += [0] * (11 - len(live_paths))  # all dead after a break
-    return totals * (est.dt / est.sigma), steps_used, live_paths
+    return totals * (est.dt / est.sigma), steps_used, live_paths, normals
 
 
 def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
@@ -212,13 +258,13 @@ def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _require_interior(est.domain, x)
-    per_path, steps_used, live_paths = _killed_paths(est, f, x[None, :])
+    per_path, steps_used, live_paths, normals = _killed_paths(est, f, x[None, :])
     per_path = per_path[0]
     n = est.n_paths
     value = float(np.mean(per_path))
     stderr = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(value, stderr, x, n, est.dt, est.sigma, est.seed,
-                      n_steps_used=steps_used, live_paths=live_paths)
+                      n_steps_used=steps_used, live_paths=live_paths, normals=normals)
 
 
 def mc_gradient_probe(est: KilledPathEstimator, f, x, h_fd: float) -> np.ndarray:

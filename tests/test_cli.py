@@ -192,7 +192,13 @@ class TestExitCodes:
          "a halfspace domain record needs a 'dim'"),
         ({"type": "ball", "parameters": {"radius": 0.9}},
          "a ball domain record needs a 'dim'"),
-    ], ids=["ellipsoid-dim-3", "halfspace-no-dim", "ball-no-dim"])
+        # a short center was once broadcast: [0.5] built the disk about (0.5, 0.5)
+        ({"type": "ball", "dim": 2, "parameters": {"radius": 1.0, "center": [0.5]}},
+         "ball 'center' has shape (1,), but 'dim' is 2"),
+        ({"type": "ball", "dim": 2, "parameters": {"radius": 1.0, "center": [0.5, 0.0, 0.0]}},
+         "ball 'center' has shape (3,), but 'dim' is 2"),
+    ], ids=["ellipsoid-dim-3", "halfspace-no-dim", "ball-no-dim", "ball-short-center",
+            "ball-long-center"])
     def test_domain_dim_missing_or_contradicted_exits_2(self, tmp_path, capsys, domain,
                                                         message):
         cfg = tmp_path / "cfg.json"
@@ -409,6 +415,8 @@ class TestProfile:
         assert list(profile["probes"]) == [r.name for r in rep.records]
         for probe in profile["probes"].values():
             assert 0 < probe["mc_steps_used"] <= n_steps
+            # one normal per live path (d = 1) and step
+            assert 0 < probe["normals"] <= 500 * probe["mc_steps_used"]
             live = probe["live_paths"]
             assert len(live) == 11 and live[0] == 500
             assert all(a >= b for a, b in zip(live, live[1:]))

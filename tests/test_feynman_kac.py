@@ -21,6 +21,13 @@ def normals_threads():
             if t.name.startswith("oucontract-normals")]
 
 
+def normals(rng, shape):
+    # one block through the kernel's draw, with scratch of its own size
+    out = np.empty(shape)
+    half = out.size - out.size // 2
+    return feynman_kac._normals(rng, out, (np.empty(half), np.empty(half, dtype=np.float32)))
+
+
 def batch_sizes(f, sizes):
     # records the batch size of every call; each compaction shrinks it
     def counted(p):
@@ -88,7 +95,7 @@ def sequential_killed_paths(est, f, starts):
         m = x.shape[1]
         w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
         acc += w * f(x.reshape(v * m, d)).reshape(v, m) * alive
-        noise = rng.standard_normal((m, d)) * math.sqrt(2.0 * est.dt)
+        noise = normals(rng, (m, d)) * math.sqrt(2.0 * est.dt)
         x = x * (1.0 - est.dt) + noise[None, :, :]
         alive &= est.domain.value(x.reshape(v * m, d)).reshape(v, m) < 0.0
         if not alive.any():
@@ -118,6 +125,9 @@ class TestLookaheadKernel:
         assert mc.value == np.mean(per_path[0])
         assert mc.stderr == np.std(per_path[0], ddof=1) / math.sqrt(est.n_paths)
         assert mc.n_steps_used == steps
+        # each step's update consumes d normals per live column; f saw
+        # v = 1 start per column, so the rewound blocks are not counted
+        assert mc.normals == 2 * sum(sizes)
 
     def test_compacting_ball_matches_sequential_draws(self):
         self.check_compacting_ball()
@@ -186,6 +196,43 @@ class TestLookaheadKernel:
         mc = mc_resolvent(free_estimator, ones, np.array([0.3]))
         assert mc.live_paths == [free_estimator.n_paths] * 11
 
+    def test_normals_count_every_path_step_on_whole_space(self):
+        est = KilledPathEstimator(None, sigma=0.2, dt=1e-2, n_paths=301, seed=2)
+        mc = mc_resolvent(est, ones, np.array([0.3, -0.1]))
+        assert mc.normals == est.n_paths * 2 * est.n_steps
+
+
+class TestNormals:
+    # the kernel's Box-Muller draw: its law, its fill and its replay
+    def test_two_million_draws_match_the_standard_normal(self):
+        n = 2_000_000
+        z = normals(np.random.default_rng(2024), (n // 2, 2)).ravel()
+        se = 1.0 / math.sqrt(n)
+        assert abs(z.mean()) <= 5 * se
+        # Var of the sample variance is 2/n for a normal law
+        assert abs(z.var() - 1.0) <= 5 * math.sqrt(2.0) * se
+        for t in (-3.0, -1.5, -0.5, 0.0, 0.7, 2.0):
+            p = 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+            assert abs(np.count_nonzero(z <= t) / n - p) <= 5 * math.sqrt(p * (1 - p)) * se
+        # a radius of sqrt(-2 log 2^-53) bounds every value
+        assert np.abs(z).max() <= math.sqrt(106 * math.log(2.0))
+
+    def test_odd_block_fills_every_slot(self):
+        out = np.full((7, 1), np.nan)
+        scratch = (np.full(4, np.nan), np.full(4, np.nan, dtype=np.float32))
+        assert feynman_kac._normals(np.random.default_rng(1), out, scratch) is out
+        assert np.all(np.isfinite(out))
+
+    def test_restored_state_draws_the_same_bits(self):
+        rng = np.random.default_rng(11)
+        normals(rng, (5, 1))  # an odd count of float32 angles leaves half a word
+        state = rng.bit_generator.state
+        first = normals(rng, (9, 2))
+        after = rng.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(normals(rng, (9, 2)), first)
+        assert rng.bit_generator.state == after
+
 
 class TestResolventValues:
     def test_constant_function_whole_space(self, free_estimator):
@@ -222,7 +269,7 @@ class TestResolventValues:
         for k in range(est.n_steps):
             w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
             acc += w * f(x)
-            x = x * (1.0 - est.dt) + rng.standard_normal(x.shape) * math.sqrt(2.0 * est.dt)
+            x = x * (1.0 - est.dt) + normals(rng, x.shape) * math.sqrt(2.0 * est.dt)
         per_path = acc * (est.dt / est.sigma)
         assert mc.value == np.mean(per_path)
         assert mc.stderr == np.std(per_path, ddof=1) / math.sqrt(est.n_paths)
