@@ -626,7 +626,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) / name if args.suite == "all" else Path(args.out)
         try:
             rep = run_suite(name, cfg, out_dir, args.seed)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, domains.ProjectionError) as exc:
             print(f"error: invalid config for {name}: {exc}", file=sys.stderr)
             return 2
         for rec in rep.failures():

@@ -120,7 +120,9 @@ def make_bump(
     axis directions; any sample with G >= 0 rejects the bump.
     """
     center = np.asarray(center, dtype=float)
-    d = center.size
+    d = domain.dim
+    if center.shape != (d,):
+        raise ValueError(f"bump 'center' has shape {center.shape}, but 'dim' is {d}")
     if not domain.contains(center):
         raise ValueError("support not compactly inside O")
     rng = np.random.default_rng(_CONTAINMENT_SEED)

@@ -32,7 +32,6 @@ import numpy as np
 _EPS = np.finfo(float).eps
 _FD_GRAD_STEP = math.sqrt(_EPS)
 _FD_HESS_STEP = _EPS ** (1.0 / 3.0)
-_BISECTION_STEPS = 100
 
 
 class DegenerateLevelSetError(ValueError):
@@ -136,10 +135,6 @@ class BoundaryPoint:
     g_value: float
 
 
-def default_boundary_tol(dom: LevelSetDomain, x0) -> float:
-    return 1e-10 * (1.0 + abs(dom.value(np.asarray(x0, dtype=float))))
-
-
 def outer_normal(dom: LevelSetDomain, x) -> np.ndarray:
     grad = dom.gradient(x)
     norm = float(np.linalg.norm(grad))
@@ -173,87 +168,35 @@ def project_to_boundary(
     x0,
     tol_bd: float | None = None,
 ) -> BoundaryPoint:
-    """Move x0 along the gradient ray until |G| <= tol_bd.
+    """A boundary point near x0 by Newton on G: x <- x - G grad G / |grad G|^2.
 
-    A sign change is located by linear marching along the ray
-    x0 + t * u, u = grad G(x0)/|grad G(x0)|, then refined by bisection
-    with Newton polish.  A ray with no sign change, which can pass beside
-    an elongated domain such as a thin ellipse, hands over to Newton on G
-    from x0, x <- x - G grad G / |grad G|^2; that fails if it does not
-    reach |G| <= tol_bd either.
+    Each step re-reads grad G, so the path bends with the level sets and
+    reaches elongated domains, such as a thin ellipse, from inside or
+    outside.  The iteration stops once |G| <= 1e-3 * tol_bd, well below
+    the tolerance so downstream identities are not tolerance bound, or
+    after 100 steps, and raises ProjectionError unless |G| <= tol_bd by
+    then.  The default tol_bd is 1e-10 * (1 + |G(x0)|).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     if tol_bd is None:
-        tol_bd = default_boundary_tol(dom, x0)
-    g0 = dom.value(x0)
-    grad0 = dom.gradient(x0)
-    gnorm = float(np.linalg.norm(grad0))
-    # grad_floor is a statement about the boundary; away from it we only
-    # need a usable search direction
-    if gnorm < 1e-12:
-        raise DegenerateLevelSetError(f"degenerate level set at {x0}")
-    u = grad0 / gnorm
-    if abs(g0) <= tol_bd:
-        return BoundaryPoint(x0.copy(), outer_normal(dom, x0), g0)
-
-    # G increases along its own gradient, so march up-ray if inside, down
-    # if outside.  Linear marching (not doubling) so a bounded domain lying
-    # across the ray cannot be jumped over.
-    direction = 1.0 if g0 < 0.0 else -1.0
-    step = 0.125 * (1.0 + float(np.linalg.norm(x0)))
-    t_lo, g_lo = 0.0, g0
-    t_hi = None
-    for k in range(1, 161):
-        t = direction * step * k
-        gt = dom.value(x0 + t * u)
-        if gt == 0.0 or (gt > 0.0) != (g_lo > 0.0):
-            t_hi, g_hi = t, gt
-            break
-        t_lo, g_lo = t, gt
-    if t_hi is None:
-        # the ray passed beside the domain: Newton on G, to the same
-        # 1e-3 * tol_bd as the polish below
-        x = x0
-        for _ in range(100):
-            gx = dom.value(x)
-            if abs(gx) <= 1e-3 * tol_bd:
-                break
-            grad = dom.gradient(x)
-            gnorm2 = float(grad @ grad)
-            if gnorm2 < 1e-24:
-                raise DegenerateLevelSetError(f"degenerate level set at {x}")
-            x = x - (gx / gnorm2) * grad
-        gx = dom.value(x)
-        if abs(gx) > tol_bd:
-            raise ProjectionError("no boundary along search direction")
-        return BoundaryPoint(x, outer_normal(dom, x), gx)
-
-    for _ in range(_BISECTION_STEPS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        g_mid = dom.value(x0 + t_mid * u)
-        if abs(g_mid) <= tol_bd:
-            t_lo = t_hi = t_mid
-            break
-        if (g_mid > 0.0) == (g_hi > 0.0):
-            t_hi, g_hi = t_mid, g_mid
-        else:
-            t_lo, g_lo = t_mid, g_mid
-    t_best = 0.5 * (t_lo + t_hi)
-    x = x0 + t_best * u
-    # Newton polish along the ray, bisection has already localized the root;
-    # push well below tol_bd so downstream identities are not tolerance bound
-    for _ in range(8):
+        tol_bd = 1e-10 * (1.0 + abs(dom.value(x)))
+    for _ in range(100):
         gx = dom.value(x)
         if abs(gx) <= 1e-3 * tol_bd:
             break
-        slope = float(dom.gradient(x) @ u)
-        if abs(slope) < dom.grad_floor:
-            break
-        x = x - (gx / slope) * u
-    gx = dom.value(x)
+        grad = dom.gradient(x)
+        gnorm2 = float(grad @ grad)
+        # grad_floor is a statement about the boundary; away from it we only
+        # need a usable step
+        if gnorm2 < 1e-24:
+            raise DegenerateLevelSetError(f"degenerate level set at {x}")
+        x = x - (gx / gnorm2) * grad
+    else:
+        gx = dom.value(x)
     if abs(gx) > tol_bd:
         raise ProjectionError(
-            f"projection stalled at |G| = {abs(gx):.3e} > tol_bd = {tol_bd:.3e}"
+            f"no boundary point of {dom.name} found from {np.asarray(x0).tolist()}: "
+            f"|G| = {abs(gx):.3e} > tol_bd = {tol_bd:.3e} after 100 Newton steps"
         )
     return BoundaryPoint(x, outer_normal(dom, x), gx)
 

@@ -112,7 +112,12 @@ class McEstimate:
 
 
 def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
-    if domain is not None and not domain.value(x) < 0.0:
+    if domain is None:
+        return
+    if x.shape != (domain.dim,):
+        raise ValueError(f"start point {x.tolist()} has shape {x.shape}, "
+                         f"but 'dim' is {domain.dim}")
+    if not domain.value(x) < 0.0:
         raise ValueError(f"start point {x} is not interior to the domain")
 
 

@@ -66,6 +66,8 @@ class GaussianGrid:
         """
         if dim is None:
             dim = domain.dim if domain is not None else len(np.atleast_1d(lo))
+        elif domain is not None and dim != domain.dim:
+            raise ValueError(f"grid 'dim' is {dim}, but the domain's is {domain.dim}")
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
         hs = np.broadcast_to(np.asarray(h, dtype=float), (dim,)).copy()

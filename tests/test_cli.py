@@ -67,6 +67,20 @@ TWO_SWEEP_LEMMA_CFG = {**DEFAULT_CONFIGS["lemma"],
                        "solver_tol": TWO_SWEEP_CONTRACT_CFG["solver_tol"]}
 
 
+def curvature_domain_cfg(domain):
+    return {"n_samples": 4, "domains": [domain]}
+
+
+def contract_sweep_cfg(**sweep):
+    """SMALL_CONTRACT_CFG with the given keys of its one sweep replaced."""
+    return {**SMALL_CONTRACT_CFG, "sweeps": [{**SMALL_CONTRACT_CFG["sweeps"][0], **sweep}]}
+
+
+# a cheap 2-D oracle case; the exit-code tests stop it before any path is drawn
+SMALL_ORACLE_2D_CFG = {**DEFAULT_CONFIGS["oracle"], "n_paths": 500, "dt": 1e-2, "cases": [
+    {**DEFAULT_CONFIGS["oracle"]["cases"][1], "grid": {"lo": -8.0, "hi": 8.0, "h": 0.4}}]}
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """The solutions of every solve made through the solver module, in call order."""
@@ -185,28 +199,58 @@ class TestExitCodes:
         assert "cannot load config" in err and f"'{key}' must be a {kind}" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("domain, message", [
-        ({"type": "ellipsoid", "dim": 3, "parameters": {"semi_axes": [1.0, 0.6]}},
+    @pytest.mark.parametrize("suite, user, message", [
+        ("curvature",
+         curvature_domain_cfg(
+             {"type": "ellipsoid", "dim": 3, "parameters": {"semi_axes": [1.0, 0.6]}}),
          "domain 'dim' is 3, but its parameters give dimension 2"),
-        ({"type": "halfspace", "parameters": {"offset": 1.0}},
+        ("curvature", curvature_domain_cfg({"type": "halfspace", "parameters": {"offset": 1.0}}),
          "a halfspace domain record needs a 'dim'"),
-        ({"type": "ball", "parameters": {"radius": 0.9}},
+        ("curvature", curvature_domain_cfg({"type": "ball", "parameters": {"radius": 0.9}}),
          "a ball domain record needs a 'dim'"),
         # a short center was once broadcast: [0.5] built the disk about (0.5, 0.5)
-        ({"type": "ball", "dim": 2, "parameters": {"radius": 1.0, "center": [0.5]}},
+        ("curvature",
+         curvature_domain_cfg(
+             {"type": "ball", "dim": 2, "parameters": {"radius": 1.0, "center": [0.5]}}),
          "ball 'center' has shape (1,), but 'dim' is 2"),
-        ({"type": "ball", "dim": 2, "parameters": {"radius": 1.0, "center": [0.5, 0.0, 0.0]}},
+        ("curvature",
+         curvature_domain_cfg({"type": "ball", "dim": 2,
+                               "parameters": {"radius": 1.0, "center": [0.5, 0.0, 0.0]}}),
          "ball 'center' has shape (3,), but 'dim' is 2"),
+        # a short bump center was once broadcast: [-2.5] built a ridge along x_1
+        ("contract", contract_sweep_cfg(bumps=[{"center": [-2.5], "radius": 0.8,
+                                                "margin": 0.3}]),
+         "bump 'center' has shape (1,), but 'dim' is 2"),
+        # a short probe once raised IndexError in the level function
+        ("oracle",
+         {**SMALL_ORACLE_2D_CFG, "cases": [{**SMALL_ORACLE_2D_CFG["cases"][0],
+                                            "probes": [[-4.2]]}]},
+         "start point [-4.2] has shape (1,), but 'dim' is 2"),
+        # a grid dim above the domain's once solved the sweep as a 3-D problem
+        ("contract", contract_sweep_cfg(grid={"lo": -8.0, "hi": 8.0, "h": 0.4, "dim": 3}),
+         "grid 'dim' is 3, but the domain's is 2"),
     ], ids=["ellipsoid-dim-3", "halfspace-no-dim", "ball-no-dim", "ball-short-center",
-            "ball-long-center"])
-    def test_domain_dim_missing_or_contradicted_exits_2(self, tmp_path, capsys, domain,
+            "ball-long-center", "bump-short-center", "oracle-short-probe", "grid-dim-3"])
+    def test_domain_dim_missing_or_contradicted_exits_2(self, tmp_path, capsys, suite, user,
                                                         message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_samples": 4, "domains": [domain]}))
-        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        cfg.write_text(json.dumps(user))
+        code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid config" in err and message in err
+
+    def test_domain_without_boundary_exits_2(self, tmp_path, capsys):
+        # G = x_0^2 + 1 > 0 everywhere: no draw can be projected to the boundary
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(curvature_domain_cfg({
+            "type": "polynomial", "dim": 1,
+            "parameters": {"terms": [{"coeff": 1.0, "powers": [2]},
+                                     {"coeff": 1.0, "powers": [0]}]}})))
+        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "no boundary point of polynomial" in err
 
     def test_spacing_wider_than_box_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

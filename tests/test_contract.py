@@ -117,6 +117,12 @@ class TestBump:
         with pytest.raises(ValueError, match="support not compactly inside"):
             make_bump(halfspace(2, 1.0), [-1.5, 0.0], 1.0, 0.2)
 
+    @pytest.mark.parametrize("center", [[-2.5], [-2.5, 0.0, 0.0]])
+    def test_make_bump_rejects_center_of_another_dim(self, center):
+        # a 1-value center once passed as a ridge constant along x_1
+        with pytest.raises(ValueError, match=r"bump 'center' has shape .*, but 'dim' is 2"):
+            make_bump(halfspace(2, 1.0), center, 0.8, 0.3)
+
     def test_default_names_print_plain_floats(self):
         # numpy 2 prints a float64 in a list as np.float64(...)
         assert ellipsoid([1.0, 0.6]).name == "ellipsoid([1.0, 0.6])"

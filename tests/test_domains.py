@@ -17,6 +17,15 @@ from oucontract.domains import (
     project_to_boundary,
     rotated,
 )
+from oucontract.wiener import (
+    BM,
+    BRIDGE,
+    KLBasis,
+    cylindrical_domain,
+    epigraph_domain,
+    gauss_ridge_epigraph,
+    rational_reference_spec,
+)
 
 
 def boundary_of(dom, start, tol=None):
@@ -125,9 +134,25 @@ class TestProjection:
     def test_no_boundary_raises(self):
         whole = LevelSetDomain(1, lambda p: np.atleast_2d(p)[..., 0] * 0.0 - 1.0,
                                grad=lambda x: np.array([1e-6]))
-        # G is constant -1: the march never sees a sign change
+        # G is constant -1: Newton steps a long way each time but never moves G
         with pytest.raises(ProjectionError):
             project_to_boundary(whole, np.array([0.0]))
+
+    @pytest.mark.parametrize("dom", [
+        *(cylindrical_domain(rational_reference_spec(kind, r=-0.75), KLBasis.build(kind, m))
+          for kind in (BM, BRIDGE) for m in (2, 3)),
+        epigraph_domain(gauss_ridge_epigraph(2.0, 0.5, [1.0, 0.0]), 3),
+    ], ids=["reference-bm-m2", "reference-bm-m3", "reference-bridge-m2",
+            "reference-bridge-m3", "gauss-ridge-m3"])
+    def test_nonlinear_shipped_domains_project_every_draw(self, dom):
+        # the nonlinear level functions the wiener suite audits: every draw
+        # lands on |G| <= 1e-3 * tol_bd, where Newton stops, with a unit normal
+        for seed in (1, 2, 3):
+            for z in np.random.default_rng(seed).standard_normal((48, dom.dim)):
+                bp = project_to_boundary(dom, z)
+                assert abs(dom.value(bp.x)) <= 1e-3 * 1e-10 * (1.0 + abs(dom.value(z)))
+                assert bp.g_value == dom.value(bp.x)
+                assert np.linalg.norm(bp.nu) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCurvatureAudit:
@@ -166,8 +191,8 @@ class TestCurvatureAudit:
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.6), (2.0, 0.5)])
     def test_ellipse_matches_closed_form(self, a, b):
-        # from outside, a draw's gradient ray can pass beside the ellipse, and
-        # Newton on G then projects it
+        # every draw, inside or outside the ellipse, projects onto it, and
+        # Hgamma there matches the closed form
         dom = ellipsoid([a, b])
         for seed in range(6, 12):
             audit = curvature_audit(dom, 200, np.random.default_rng(seed))
@@ -180,8 +205,8 @@ class TestCurvatureAudit:
 
     @pytest.mark.parametrize("b", [0.25, 0.1])
     def test_thin_ellipse_projects_every_draw(self, b):
-        # many draws have a gradient ray that misses so thin an ellipse, and
-        # Newton on G projects them as far below tol_bd as the ray's polish does
+        # even on so thin an ellipse every draw reaches 1e-3 * tol_bd, where
+        # Newton on G stops
         dom = ellipsoid([1.0, b])
         draws = np.random.default_rng(6).standard_normal((200, 2))
         audit = curvature_audit(dom, 200, np.random.default_rng(6))

@@ -52,6 +52,14 @@ class TestEstimatorContract:
         with pytest.raises(ValueError, match="not interior"):
             mc_resolvent(est, ones, np.array([0.0]))
 
+    @pytest.mark.parametrize("start", [[-3.0], [-3.0, 0.0, 0.0]])
+    def test_start_point_of_another_dim(self, start):
+        est = KilledPathEstimator(halfspace(2, 1.0), sigma=1.0, n_paths=10)
+        with pytest.raises(ValueError, match="'dim' is 2"):
+            mc_resolvent(est, ones, np.array(start))
+        with pytest.raises(ValueError, match="'dim' is 2"):
+            mc_gradient_probe(est, ones, np.array(start), 0.05)
+
     def test_reproducible(self):
         est = KilledPathEstimator(halfspace(1, 1.0), sigma=0.5, dt=5e-3,
                                   n_paths=500, seed=77)

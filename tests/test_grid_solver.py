@@ -56,6 +56,13 @@ class TestGrid:
         # cell sums of the density over the box reproduce total mass 1
         assert line_grid.node_weights().sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_dim_must_match_the_domain(self):
+        with pytest.raises(ValueError, match="grid 'dim' is 3, but the domain's is 2"):
+            GaussianGrid.build(halfspace(2, 1.0), -2, 2, 0.5, dim=3)
+        # with no domain the grid keeps its dim, and a matching one is accepted
+        assert GaussianGrid.build(None, -2, 2, 0.5, dim=3).dim == 3
+        assert GaussianGrid.build(halfspace(2, 1.0), -2, 2, 0.5, dim=2).dim == 2
+
     def test_cell_rule_total_mass_3d(self):
         dom_free = GaussianGrid.build(None, -8, 8, 0.2, dim=3)
         assert dom_free.node_weights().sum() == pytest.approx(1.0, abs=1e-10)
