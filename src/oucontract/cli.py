@@ -333,7 +333,8 @@ def suite_lemma(cfg, seed) -> SuiteReport:
                     observed=slope.max_slope, bound=s_tol,
                     passed=sol.converged and slope.ok,
                     inputs={"sweep": sweep_cfg["name"], "sigma": sigma,
-                            "bump": bump.label, "eps": eps, "tol": s_tol},
+                            "bump": bump.label, "eps": eps, "tol": s_tol,
+                            "n_checked": slope.n_checked, "n_skipped": slope.n_skipped},
                 ))
                 fluxes = contract.boundary_flux_integral(sol.u, eps, sweep_cfg["ps"])
                 for p, val in zip(sweep_cfg["ps"], fluxes):

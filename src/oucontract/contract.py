@@ -235,7 +235,9 @@ class BoundarySlopeReport:
 
     @property
     def ok(self) -> bool:
-        return self.n_checked > 0 and len(self.violations) == 0
+        # at least half of the samples must have been checked
+        return (self.n_checked > 0 and self.n_checked >= self.n_skipped
+                and len(self.violations) == 0)
 
 
 @dataclass
@@ -375,7 +377,7 @@ def gradient_lp_ratio(
     bump: BumpFunction,
     ps,
 ) -> list[tuple[float, float]]:
-    """(||grad u||_p, ||grad y||_p) over full-stencil interior nodes, per p.
+    """(||grad u||_p, ||grad y||_p) over full-stencil interior nodes, per p >= 1.
 
     The gradients and weights do not depend on p and are computed once for
     the whole sequence ``ps``.  The right side uses the bump's analytic
@@ -383,6 +385,9 @@ def gradient_lp_ratio(
     away from the excluded cut band, so the restriction loses nothing on
     that side.
     """
+    ps = [float(p) for p in ps]
+    if not all(p >= 1.0 for p in ps):
+        raise ValueError("p must be >= 1")
     grid = u.grid
     nodes = np.flatnonzero(grid.full_stencil)
     w = grid.node_weights(nodes)
@@ -393,7 +398,6 @@ def gradient_lp_ratio(
     rhs_vals = bump.grad_norm(grid.node_coordinates(nodes))
     out = []
     for p in ps:
-        p = float(p)
         lhs = float(np.sum(w * lhs_vals**p) ** (1.0 / p))
         rhs = float(np.sum(w * rhs_vals**p) ** (1.0 / p))
         out.append((lhs, rhs))

@@ -22,9 +22,7 @@ States are stored column-major, as (d, v, m): coordinate, start, live
 path.  f and the level function get the transposed (v*m, d) view, whose
 columns are contiguous, so per-coordinate arithmetic such as x - c and
 the sum over coordinates run over contiguous memory.  The noise is drawn
-into a C-ordered (m, d) buffer and added transposed, so the random stream
-is that of a C-ordered (v, m, d) state, and so is every per-path sum
-whenever f and the level function give the same bits in either layout.
+in the same (d, m) layout and added as is.
 
 The normals are drawn by a Box-Muller transform (Box & Muller 1958) on
 uniforms from the generator: for a block of N values and h = ceil(N/2),
@@ -33,17 +31,17 @@ r cos a in the block's first h slots and r sin a in the other N - h.
 The angle lies on a 2^-24 lattice and float32 sin and cos carry a
 relative error of about 1e-7 per normal; the largest |z| is
 sqrt(106 log 2), about 8.57.  The bits follow numpy's SIMD log, sin and
-cos, as the bump's exp already does.  A block of N values always takes
-the same generator outputs, so it can be drawn again from a saved state.
+cos, as the bump's exp already does.
 
 The normals are drawn one step ahead on a worker thread, so each step's
 draw overlaps the previous step's update and kill test and its own f
 evaluation; numpy releases the GIL inside the draw and inside large
 array operations.  f and the level function are called only from the
-calling thread.  A draw is sized before the kill test that may compact
-the states; after a compaction the generator is rewound and the shorter
-block drawn again, so the random stream and every per-path sum are those
-of drawing each step's block in turn.
+calling thread, the generator only from the worker.  A draw is sized by
+the columns live before the kill test that may compact the states; the
+kept columns then take a prefix of that block.  Step k+1's normals are
+independent of everything up to step k, and so of the compaction, so
+any prefix of the block is still i.i.d. N(0, 1).
 
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
@@ -107,7 +105,8 @@ class McEstimate:
     n_steps_used: int = 0
     # paths alive at some start after each tenth of the steps (11 counts)
     live_paths: list[int] = field(default_factory=list)
-    # normals the state updates consumed (rewound and unused draws excluded)
+    # normals the state updates consumed (unused block tails and the last
+    # lookahead draw excluded)
     normals: int = 0
 
 
@@ -162,16 +161,13 @@ def _killed_paths(est: KilledPathEstimator, f,
     column is compacted away once it is dead at every start; until then its
     dead rows are stepped but masked out of the sums.
 
-    As soon as step k's normals are drawn, one worker thread starts step
-    k+1's draw into the second of two (n, d) buffers, while this thread
-    runs step k's update and kill test and step k+1's f.  f and the level
-    function are only ever called from this thread.  The lookahead draw is
-    sized by the live-column count m before step k's kill test; when
-    compaction then shrinks m, the draw in flight is awaited, the
-    generator's state saved just before it was submitted is put back, and
-    the shorter block is drawn again.  Compactions are rare, so is this
-    redraw.  So every per-path sum is that of drawing each step's block in
-    turn on one thread.  The worker alone uses the draw's scratch.  The
+    As soon as step k's normals are taken, one worker thread starts step
+    k+1's draw into the second of two flat buffers of d*n values, while
+    this thread runs step k's update and kill test and step k+1's f.  The
+    draw fills d*m' values, m' being the live-column count before step k's
+    kill test; step k+1 views them as (d, m') and uses the first m <= m'
+    columns.  The generator and the draw's scratch are only ever used on
+    the worker, f and the level function only on this thread.  The
     ``with`` block joins the worker on return and on error.
 
     Returns the per-path estimates, shape (v, n_paths), the number of steps
@@ -188,7 +184,7 @@ def _killed_paths(est: KilledPathEstimator, f,
     acc = np.zeros((v, n))
     path_id = np.arange(n)
     alive = np.ones((v, n), dtype=bool)
-    noise = (np.empty((n, d)), np.empty((n, d)))
+    noise = (np.empty(d * n), np.empty(d * n))
     half = n * d - n * d // 2
     scratch = (np.empty(half), np.empty(half, dtype=np.float32))
     sqrt_step = math.sqrt(2.0 * est.dt)
@@ -215,13 +211,11 @@ def _killed_paths(est: KilledPathEstimator, f,
             fv = np.asarray(f(points), dtype=float).reshape(v, m) * alive
             fv *= w
             acc += fv
-            buf = draw.result()
-            ahead = noise[(k + 1) % 2]
-            rewind = rng.bit_generator.state
-            draw = pool.submit(_normals, rng, ahead[:m], scratch)
+            buf = draw.result().reshape(d, -1)[:, :m]
+            draw = pool.submit(_normals, rng, noise[(k + 1) % 2][:d * m], scratch)
             states *= decay
             buf *= sqrt_step
-            states += buf.T[:, None, :]
+            states += buf[:, None, :]
             normals += buf.size
             n_live = m
             if est.domain is not None:
@@ -234,10 +228,6 @@ def _killed_paths(est: KilledPathEstimator, f,
                     live = alive.any(axis=0)
                     n_live = int(np.count_nonzero(live))
                     if m - n_live > m // 8:
-                        # the next step draws for the n_live kept columns only
-                        draw.result()
-                        rng.bit_generator.state = rewind
-                        draw = pool.submit(_normals, rng, ahead[:n_live], scratch)
                         dead = ~live
                         totals[:, path_id[dead]] = acc[:, dead]
                         states = np.ascontiguousarray(states[:, :, live])

@@ -240,6 +240,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid config" in err and message in err
 
+    # p = 0 once died in gradient_lp_ratio with a ZeroDivisionError and exit 1,
+    # and p = 0.5 wrote quasi-norm records that the lemma suite refused
+    @pytest.mark.parametrize("ps", [[0.0, 2.0], [0.5, 2.0]], ids=["p-0", "p-0.5"])
+    def test_contract_p_below_1_exits_2(self, tmp_path, capsys, ps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(contract_sweep_cfg(ps=ps)))
+        code = main(["contract", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "p must be >= 1" in err
+
     def test_domain_without_boundary_exits_2(self, tmp_path, capsys):
         # G = x_0^2 + 1 > 0 everywhere: no draw can be projected to the boundary
         cfg = tmp_path / "cfg.json"

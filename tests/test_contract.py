@@ -295,6 +295,16 @@ class TestBoundaryChecks:
         assert (rep.n_checked, rep.n_skipped) == (0, 10)
         assert not rep.ok
 
+    @pytest.mark.parametrize("n_skipped, ok", [(3, False), (1, True)])
+    def test_slope_from_under_half_the_samples_fails(self, halfline, n_skipped, ok):
+        # one checked row reads like forty unless the skips count against it
+        _, grid, _ = halfline
+        probes = BoundaryProbes(np.array([[-2.0]]), np.array([[-2.1]]), np.array([0.1]),
+                                n_skipped)
+        rep = check_boundary_normal_slope(ScalarField.zeros(grid), probes, 1e-3, 1.0)
+        assert (rep.n_checked, rep.n_skipped, rep.violations) == (1, n_skipped, [])
+        assert rep.ok is ok
+
     def test_flux_integral_zero_solution(self, halfline):
         _, grid, _ = halfline
         u = ScalarField.zeros(grid)

@@ -88,9 +88,11 @@ class SynchronousExecutor:
 
 
 def sequential_killed_paths(est, f, starts):
-    # the kernel's rule on one thread, in a C-ordered (v, m, d) state: each
-    # step's normals are drawn in turn, and the path columns dead at every
-    # start are dropped once they are more than an eighth of the columns
+    # the kernel's rule on one thread, in a C-ordered (v, m, d) state: one
+    # (d, n) block is drawn before step 0, and after each step's update a
+    # (d, m) block for the m columns live before that step's kill test; each
+    # step takes the first m columns of its block, and the path columns dead
+    # at every start are dropped once they are more than an eighth of them
     v, d = starts.shape
     n = est.n_paths
     rng = np.random.default_rng(est.seed)
@@ -99,12 +101,14 @@ def sequential_killed_paths(est, f, starts):
     totals = np.zeros((v, n))
     path_id = np.arange(n)
     alive = np.ones((v, n), dtype=bool)
+    block = normals(rng, (d, n))
     for k in range(est.n_steps):
         m = x.shape[1]
         w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
         acc += w * f(x.reshape(v * m, d)).reshape(v, m) * alive
-        noise = normals(rng, (m, d)) * math.sqrt(2.0 * est.dt)
+        noise = block[:, :m].T * math.sqrt(2.0 * est.dt)
         x = x * (1.0 - est.dt) + noise[None, :, :]
+        block = normals(rng, (d, m))
         alive &= est.domain.value(x.reshape(v * m, d)).reshape(v, m) < 0.0
         if not alive.any():
             break
@@ -118,9 +122,9 @@ def sequential_killed_paths(est, f, starts):
 
 
 class TestLookaheadKernel:
-    # the normals are drawn a step ahead on a worker thread, and a
-    # compaction rewinds the generator and redraws the shorter block; the
-    # estimates must be those of drawing each step's block in turn
+    # the normals are drawn a step ahead on a worker thread, sized before
+    # the kill test, and a compaction keeps a prefix of the block in flight;
+    # the estimates must be those of the same draws in turn on one thread
     def check_compacting_ball(self):
         sizes = []
         est = KilledPathEstimator(ball(2, 1.5), sigma=0.5, dt=2e-3,
@@ -134,7 +138,7 @@ class TestLookaheadKernel:
         assert mc.stderr == np.std(per_path[0], ddof=1) / math.sqrt(est.n_paths)
         assert mc.n_steps_used == steps
         # each step's update consumes d normals per live column; f saw
-        # v = 1 start per column, so the rewound blocks are not counted
+        # v = 1 start per column, so the unused block tails are not counted
         assert mc.normals == 2 * sum(sizes)
 
     def test_compacting_ball_matches_sequential_draws(self):
@@ -150,12 +154,38 @@ class TestLookaheadKernel:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_rewind_state_is_read_before_the_draw_is_submitted(self, monkeypatch):
-        # a worker that draws at once consumes the lookahead block before
-        # submit returns; a rewind state read after submitting would then
-        # skip that block, which the worker thread rarely shows in time
+    def test_synchronous_draws_give_the_same_bits(self, monkeypatch):
+        # a worker that draws at once fills the lookahead block before
+        # submit returns, an order the worker thread rarely shows
         monkeypatch.setattr(feynman_kac, "ThreadPoolExecutor", SynchronousExecutor)
         self.check_compacting_ball()
+
+    def test_each_draw_is_sized_before_the_kill_test(self, monkeypatch):
+        # the kernel reaches the generator only through _normals; draw k + 1
+        # is sized by the columns live before step k's kill test
+        draws = []
+        draw = feynman_kac._normals
+
+        def recorded(rng, out, scratch):
+            draws.append((rng, out.size))
+            return draw(rng, out, scratch)
+
+        monkeypatch.setattr(feynman_kac, "_normals", recorded)
+        sizes = []
+        est = KilledPathEstimator(ball(2, 1.5), sigma=0.5, dt=2e-3,
+                                  n_paths=20_000, seed=53)
+        bump = BumpFunction(np.array([0.3, -0.2]), 1.0)
+        mc = mc_resolvent(est, batch_sizes(bump, sizes), np.array([0.4, 0.3]))
+        monkeypatch.undo()
+        assert len(set(sizes)) > 3
+        assert len(draws) == mc.n_steps_used + 1
+        drawn = [size for _, size in draws]
+        assert drawn == [2 * est.n_paths] + [2 * s for s in sizes]
+        assert len({id(rng) for rng, _ in draws}) == 1
+        rng = np.random.default_rng(est.seed)
+        for size in drawn:
+            normals(rng, (size,))
+        assert draws[0][0].bit_generator.state == rng.bit_generator.state
 
     def test_compacting_gradient_probe_matches_sequential_draws(self):
         sizes = []
@@ -263,8 +293,8 @@ class TestResolventValues:
 
     def test_matches_plain_euler_loop_in_2d(self):
         # an anisotropic f on the whole space against a plain C-ordered
-        # (n, d) Euler loop on the same stream: the kernel's state layout
-        # must not change a single bit of the estimate
+        # (n, d) Euler loop that draws (d, n) blocks and adds their
+        # transpose: the kernel's state layout must not change a single bit
         def f(p):
             return p[:, 1] + 2.0 * p[:, 0] ** 2
 
@@ -277,7 +307,8 @@ class TestResolventValues:
         for k in range(est.n_steps):
             w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
             acc += w * f(x)
-            x = x * (1.0 - est.dt) + normals(rng, x.shape) * math.sqrt(2.0 * est.dt)
+            noise = normals(rng, (2, est.n_paths)).T
+            x = x * (1.0 - est.dt) + noise * math.sqrt(2.0 * est.dt)
         per_path = acc * (est.dt / est.sigma)
         assert mc.value == np.mean(per_path)
         assert mc.stderr == np.std(per_path, ddof=1) / math.sqrt(est.n_paths)
