@@ -18,7 +18,6 @@ from .domains import (
     ball,
     curvature_audit,
     ellipsoid,
-    epigraph,
     gaussian_curvature,
     halfspace,
     mean_curvature,

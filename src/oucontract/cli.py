@@ -117,6 +117,12 @@ def _sweep_setup(sweep_cfg):
                                                     dim=g.get("dim"))
 
 
+def _check_ps(cfg) -> None:
+    """Reject a p below 1 (or NaN) in any sweep before the suite solves anything."""
+    if not all(float(p) >= 1.0 for sweep_cfg in cfg["sweeps"] for p in sweep_cfg["ps"]):
+        raise ValueError("p must be >= 1")
+
+
 # Solved sweeps shared by the contract and lemma suites of one process, keyed
 # by _sweep_key: (domain, bumps, grid, SweepResult) of a sweep at spacing h.
 # suite_contract empties the store and then fills it; suite_lemma pops the
@@ -210,6 +216,7 @@ def suite_solve(cfg, seed) -> SuiteReport:
 
 
 def suite_contract(cfg, seed) -> SuiteReport:
+    _check_ps(cfg)
     rep = SuiteReport("contract", seed, cfg)
     recs = []  # every ContractRecord written, in table order
     sigma_zero = cfg["sigma_zero"]
@@ -296,6 +303,7 @@ def suite_contract(cfg, seed) -> SuiteReport:
 
 
 def suite_lemma(cfg, seed) -> SuiteReport:
+    _check_ps(cfg)
     rep = SuiteReport("lemma", seed, cfg)
     eps = cfg["eps"]
     n_reused = 0
@@ -501,8 +509,6 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
     the suite ends: the peak of the whole process so far, so under ``all``
     it covers the suites that ran before this one too.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     solver.tally.update(dict.fromkeys(solver.tally, 0))
     t0 = time.perf_counter()
     rep = _SUITES[name](config, seed)
@@ -510,8 +516,8 @@ def run_suite(name, config, out_dir, seed) -> SuiteReport:
     rep.profile.update(solver.tally)
     rep.profile["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rep.environment = {"package_version": __version__, "seed": seed}
-    rep.write(out)
-    report.emit_plotdata(rep, out)
+    rep.write(out_dir)
+    report.emit_plotdata(rep, out_dir)
     return rep
 
 

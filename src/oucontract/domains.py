@@ -87,9 +87,9 @@ class LevelSetDomain:
     coordinate on all of R^d, increasing or decreasing, so every line
     parallel to the axis crosses the boundary at most once; grid
     classification then bisects along the axis instead of evaluating G at
-    every node.  ``halfspace`` sets its axis, ``epigraph`` and
-    ``wiener.cylindrical_domain`` set 0; every other constructor, and
-    ``rotated``, leaves it None, which means no such claim.
+    every node.  ``halfspace`` sets its axis, ``wiener.epigraph_domain`` and
+    ``wiener.cylindrical_domain`` set 0; every other constructor leaves it
+    None, which means no such claim.
     """
 
     dim: int
@@ -132,7 +132,6 @@ class BoundaryPoint:
 
     x: np.ndarray
     nu: np.ndarray
-    g_value: float
 
 
 def outer_normal(dom: LevelSetDomain, x) -> np.ndarray:
@@ -198,7 +197,7 @@ def project_to_boundary(
             f"no boundary point of {dom.name} found from {np.asarray(x0).tolist()}: "
             f"|G| = {abs(gx):.3e} > tol_bd = {tol_bd:.3e} after 100 Newton steps"
         )
-    return BoundaryPoint(x, outer_normal(dom, x), gx)
+    return BoundaryPoint(x, outer_normal(dom, x))
 
 
 @dataclass
@@ -324,35 +323,6 @@ def ellipsoid(semi_axes) -> LevelSetDomain:
                           name=f"ellipsoid({a.tolist()})")
 
 
-def epigraph(dim: int, phi, phi_grad, phi_hess, grad_floor: float = 0.5,
-             name: str = "epigraph") -> LevelSetDomain:
-    """O = {x_1 < -phi(x_2, ..., x_d)}, level function G = x_1 + phi.
-
-    phi takes the trailing d-1 coordinates, batched (n, d-1) -> (n,);
-    phi_grad and phi_hess take a single (d-1,) point.
-    """
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] + np.asarray(phi(x[..., 1:]))
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(dim)
-        out[0] = 1.0
-        out[1:] = np.asarray(phi_grad(x[1:]), dtype=float)
-        return out
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((dim, dim))
-        out[1:, 1:] = np.asarray(phi_hess(x[1:]), dtype=float)
-        return out
-
-    return LevelSetDomain(dim, g, grad, hess, grad_floor=grad_floor, name=name,
-                          monotone_axis=0)
-
-
 def polynomial_domain(dim: int, terms) -> LevelSetDomain:
     """G given by a coefficient table [(coeff, powers), ...].
 
@@ -401,23 +371,3 @@ def polynomial_domain(dim: int, terms) -> LevelSetDomain:
         return np.array([[evaluate(t, x) for t in row] for row in hess_tables])
 
     return LevelSetDomain(dim, g, grad, hess, name="polynomial")
-
-
-def rotated(dom: LevelSetDomain, rot: np.ndarray) -> LevelSetDomain:
-    """The image R(O) of a domain under an orthogonal matrix."""
-    rot = np.asarray(rot, dtype=float)
-    rt = rot.T
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return dom.value(x @ rot)  # row-vector convention: R^T x per row
-
-    def grad(x):
-        return rot @ dom.gradient(rt @ np.asarray(x, dtype=float))
-
-    def hess(x):
-        return rot @ dom.hessian(rt @ np.asarray(x, dtype=float)) @ rt
-
-    return LevelSetDomain(dom.dim, g, grad, hess, grad_floor=dom.grad_floor,
-                          name=f"rotated({dom.name})")
-

@@ -97,11 +97,7 @@ class KilledPathEstimator:
 class McEstimate:
     value: float
     stderr: float
-    x: np.ndarray
     n_paths: int
-    dt: float
-    sigma: float
-    seed: int
     n_steps_used: int = 0
     # paths alive at some start after each tenth of the steps (11 counts)
     live_paths: list[int] = field(default_factory=list)
@@ -258,8 +254,8 @@ def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     n = est.n_paths
     value = float(np.mean(per_path))
     stderr = float(np.std(per_path, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value, stderr, x, n, est.dt, est.sigma, est.seed,
-                      n_steps_used=steps_used, live_paths=live_paths, normals=normals)
+    return McEstimate(value, stderr, n, n_steps_used=steps_used, live_paths=live_paths,
+                      normals=normals)
 
 
 def mc_gradient_probe(est: KilledPathEstimator, f, x, h_fd: float) -> np.ndarray:

@@ -9,7 +9,7 @@ on their side, and each other line is bisected for its one sign change, one
 batch per round holding one node per open line.  That takes at most
 lines * (ceil(log2 N) + 2) evaluations of G instead of one per node, at the
 same node coordinates and with the same ``G < 0`` test, so the mask is the
-same.  Any other domain is evaluated at every node, in chunks.
+same.  Any other domain is evaluated at every node in one batch.
 
 Virtual neighbors beyond the box edge count as exterior with value 0,
 consistent with the staircase Dirichlet treatment of the solver (every
@@ -35,8 +35,6 @@ import numpy as np
 
 from . import gauss
 from .domains import LevelSetDomain
-
-_CLASSIFY_CHUNK = 65536
 
 
 @dataclass
@@ -85,13 +83,8 @@ class GaussianGrid:
     def _classify(self) -> np.ndarray:
         if self.domain.monotone_axis is not None:
             return _classify_monotone(self)
-        n = self.n_nodes
-        out = np.empty(n, dtype=bool)
-        for start in range(0, n, _CLASSIFY_CHUNK):
-            stop = min(start + _CLASSIFY_CHUNK, n)
-            pts = self.node_coordinates(np.arange(start, stop))
-            out[start:stop] = np.asarray(self.domain.value(pts)) < 0.0
-        return out.reshape(self.shape)
+        inside = np.asarray(self.domain.value(self.node_coordinates())) < 0.0
+        return inside.reshape(self.shape)
 
     # -- masks ---------------------------------------------------------
 
@@ -117,10 +110,6 @@ class GaussianGrid:
                 nxt &= _shifted(mask, a, +1, fill=False) & _shifted(mask, a, -1, fill=False)
             mask = nxt
         return mask
-
-    @property
-    def full_stencil(self) -> np.ndarray:
-        return self.eroded_interior(1)
 
     # -- geometry ------------------------------------------------------
 

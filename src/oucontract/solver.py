@@ -251,7 +251,6 @@ def solve_resolvent(
     budget = _iteration_budget(op.n_unknowns)
     x, iters = _cg(op.matrix, b, tol * bnorm, budget)
     tally["cg_iterations"] += iters
-    info = 0 if iters < budget else budget
     r = op.matrix @ x - b
     res = math.sqrt(_dot(r, r)) / bnorm
     vals = np.zeros(grid.n_nodes)
@@ -261,10 +260,7 @@ def solve_resolvent(
         u=u,
         residual=res,
         iterations=iters,
-        converged=(info == 0 and res <= tol * 10.0),
+        converged=(iters < budget and res <= tol * 10.0),
         sigma=job.sigma,
-        diagnostics={
-            "n_unknowns": op.n_unknowns,
-            "cg_info": int(info),
-        },
+        diagnostics={"n_unknowns": op.n_unknowns},
     )

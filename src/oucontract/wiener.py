@@ -85,11 +85,9 @@ class KLBasis:
 
     kind: str
     m: int
-    lambdas: np.ndarray
     s_nodes: np.ndarray
     s_weights: np.ndarray
-    h_table: np.ndarray = field(repr=False)   # (m, n_s) values of h_i
-    hp_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i'
+    h_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i
 
     @classmethod
     def build(cls, kind: str, m: int, n_panels: int | None = None) -> "KLBasis":
@@ -101,14 +99,8 @@ class KLBasis:
             n_panels = max(16, m)
         s, w = composite_gauss_legendre(n_panels)
         freq = _kl_frequencies(kind, m)
-        lambdas = 1.0 / freq**2
-        h = np.sqrt(2.0 * lambdas)[:, None] * np.sin(freq[:, None] * s[None, :])
-        hp = math.sqrt(2.0) * np.cos(freq[:, None] * s[None, :])
-        return cls(kind, m, lambdas, s, w, h, hp)
-
-    def gram_H(self) -> np.ndarray:
-        """<h_i, h_j>_H = integral h_i' h_j' ds by quadrature."""
-        return (self.hp_table * self.s_weights[None, :]) @ self.hp_table.T
+        h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s[None, :])
+        return cls(kind, m, s, w, h)
 
     def h1_integral(self) -> float:
         return float(self.h_table[0] @ self.s_weights)
@@ -118,20 +110,16 @@ class KLBasis:
         return np.atleast_2d(np.asarray(coeffs, dtype=float)) @ self.h_table
 
 
-def trace_density(s, m: int, basis: KLBasis) -> np.ndarray | float:
-    """f_m(s) = sum_{n<=m} h_n(s)^2 for the basis kind.
+def trace_density(s, m: int, basis: KLBasis) -> np.ndarray:
+    """f_m(s) = sum_{n<=m} h_n(s)^2 for the basis kind, one value per s.
 
     Any truncation m may be requested regardless of the built basis size;
     m = 0 gives the empty sum.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if m == 0:
-        out = np.zeros_like(s_arr)
-    else:
-        freq = _kl_frequencies(basis.kind, m)
-        h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s_arr[None, :])
-        out = np.sum(h * h, axis=0)
-    return float(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
+    freq = _kl_frequencies(basis.kind, m)
+    h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s_arr[None, :])
+    return np.sum(h * h, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +419,33 @@ def gauss_ridge_epigraph(c0: float, amp: float, weights) -> EpigraphSpec:
 
 
 def epigraph_domain(spec: EpigraphSpec, m: int) -> LevelSetDomain:
+    """O = {xi_1 < -Phi(xi_2, ..., xi_m)} in R^m, level function G = xi_1 + Phi.
+
+    G is strictly increasing in xi_1, so the domain declares
+    ``monotone_axis=0``, and |grad G| >= 1 everywhere, above its declared
+    ``grad_floor`` of 0.5.
+    """
     if m < 2:
         raise ValueError("epigraph domains need m >= 2")
-    return domains.epigraph(m, spec.phi, spec.phi_grad, spec.phi_hess,
-                            grad_floor=0.5, name=spec.name)
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] + np.asarray(spec.phi(x[..., 1:]))
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(m)
+        out[0] = 1.0
+        out[1:] = np.asarray(spec.phi_grad(x[1:]), dtype=float)
+        return out
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((m, m))
+        out[1:, 1:] = np.asarray(spec.phi_hess(x[1:]), dtype=float)
+        return out
+
+    return LevelSetDomain(m, g, grad, hess, grad_floor=0.5, name=spec.name, monotone_axis=0)
 
 
 def epigraph_curvature_audit(

@@ -251,6 +251,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid config" in err and "p must be >= 1" in err
 
+    def test_p_below_1_exits_2_before_any_solve(self, tmp_path, capsys, solve_calls):
+        # a bad p in the third default sweep once surfaced only after the
+        # sweeps before it were solved, and left an empty --out behind
+        for suite in ("contract", "lemma"):
+            sweeps = list(DEFAULT_CONFIGS[suite]["sweeps"])
+            sweeps[2] = {**sweeps[2], "ps": [0.5, 2.0]}
+            cfg = tmp_path / f"{suite}.json"
+            cfg.write_text(json.dumps({"sweeps": sweeps}))
+            out = tmp_path / f"{suite}-out"
+            assert main([suite, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "p must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+        assert solve_calls == []
+
     def test_domain_without_boundary_exits_2(self, tmp_path, capsys):
         # G = x_0^2 + 1 > 0 everywhere: no draw can be projected to the boundary
         cfg = tmp_path / "cfg.json"

@@ -70,7 +70,7 @@ class TestGrid:
     def test_cut_band_and_full_stencil_partition(self, halfline_grid):
         # the cut band is interior & ~full_stencil, so the two partition the
         # interior exactly when every full-stencil node is interior
-        assert not np.any(halfline_grid.full_stencil & ~halfline_grid.interior)
+        assert not np.any(halfline_grid.eroded_interior(1) & ~halfline_grid.interior)
 
     def test_eroded_interior_shrinks(self):
         grid = GaussianGrid.build(ball(2, 1.0), -1.3, 1.3, 0.1)
@@ -658,7 +658,7 @@ class TestSolve:
         )
         sol = solve_against_scipy(halfline_grid, 10.0, rhs, tol=1e-12)
         assert not sol.converged
-        assert sol.iterations == sol.diagnostics["cg_info"] == 3
+        assert sol.iterations == 3
         assert sol.u.values.shape == halfline_grid.shape
 
     def test_dirichlet_2d_solve_matches_direct_solve(self):
@@ -714,7 +714,6 @@ def solve_against_scipy(grid, sigma, rhs, tol=1e-10):
     u_ref = np.zeros(grid.n_nodes)
     u_ref[op.interior_flat] = x / op.sqrt_w
     assert sol.iterations == len(iters)
-    assert sol.diagnostics["cg_info"] == info
     assert sol.converged == (info == 0)
     err = np.linalg.norm(sol.u.flat() - u_ref) / np.linalg.norm(u_ref)
     assert err <= 1e-12
