@@ -406,7 +406,7 @@ def suite_wiener(cfg, seed) -> SuiteReport:
 
     mt = cfg["bm_trace_m"]
     basis = KLBasis.build(BM, 1, n_panels=max(16, mt))
-    fvals = wiener.trace_density(basis.s_nodes, mt, basis)
+    fvals = wiener.trace_density(basis.s_nodes, mt, BM)
     integral = float(fvals @ basis.s_weights)
     err = abs(integral - 0.5)
     rep.add(CheckRecord("bm-trace-integral", err, cfg["bm_trace_tol"],
@@ -414,8 +414,7 @@ def suite_wiener(cfg, seed) -> SuiteReport:
 
     mb = cfg["bridge_trace_m"]
     sgrid = np.linspace(0.0, 1.0, 101)
-    bridge_basis = KLBasis.build(BRIDGE, 1)
-    fb = wiener.trace_density(sgrid, mb, bridge_basis)
+    fb = wiener.trace_density(sgrid, mb, BRIDGE)
     sup_err = float(np.max(np.abs(fb - (sgrid - sgrid**2))))
     rep.add(CheckRecord("bridge-trace-pointwise", sup_err, cfg["bridge_trace_tol"],
                         sup_err <= cfg["bridge_trace_tol"], True, {"m": mb}))

@@ -18,30 +18,21 @@ weight exp(-t_max/sigma) is 1e-6.  ``bias_budget`` declares
 sup|f| * (cap + dt) only: the O(sqrt(dt)) exit bias of grid-time killing
 is not inside it.
 
-States are stored column-major, as (d, v, m): coordinate, start, live
-path.  f and the level function get the transposed (v*m, d) view, whose
-columns are contiguous, so per-coordinate arithmetic such as x - c and
-the sum over coordinates run over contiguous memory.  The noise is drawn
-in the same (d, m) layout and added as is.
+The paths form two fixed blocks, the first n // 2 and the rest.  Block b
+has its own thread, its own buffers and its own generator, child b of
+``SeedSequence(seed).spawn(2)``, so the estimate does not depend on how
+the threads interleave.  A block stores its states column-major, as
+(d, v, m): coordinate, start, live path.  f and the level function get
+(c, d) views of one start and at most 32768 columns, whose columns are
+contiguous; they are called from both threads at once and must keep no
+state between calls.  Each step draws the normals in the same (d, m)
+layout and adds them as is.
 
-The normals are drawn by a Box-Muller transform (Box & Muller 1958) on
-uniforms from the generator: for a block of N values and h = ceil(N/2),
-h float64 radii sqrt(-2 log(1 - u)) and h float32 angles 2 pi u' give
-r cos a in the block's first h slots and r sin a in the other N - h.
-The angle lies on a 2^-24 lattice and float32 sin and cos carry a
-relative error of about 1e-7 per normal; the largest |z| is
-sqrt(106 log 2), about 8.57.  The bits follow numpy's SIMD log, sin and
-cos, as the bump's exp already does.
-
-The normals are drawn one step ahead on a worker thread, so each step's
-draw overlaps the previous step's update and kill test and its own f
-evaluation; numpy releases the GIL inside the draw and inside large
-array operations.  f and the level function are called only from the
-calling thread, the generator only from the worker.  A draw is sized by
-the columns live before the kill test that may compact the states; the
-kept columns then take a prefix of that block.  Step k+1's normals are
-independent of everything up to step k, and so of the compaction, so
-any prefix of the block is still i.i.d. N(0, 1).
+The normals come from a Box-Muller transform (Box & Muller 1958) on the
+generator's uniforms (see ``_normals``).  The angle lies on a 2^-24
+lattice and float32 sin and cos carry a relative error of about 1e-7 per
+normal; the largest |z| is sqrt(106 log 2), about 8.57.  The bits follow
+numpy's SIMD log, sin and cos, as the bump's exp already does.
 
 This estimator is the independent cross-check for the finite-difference
 solver: the two never share code beyond the domain's level function.
@@ -50,6 +41,7 @@ solver: the two never share code beyond the domain's level function.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -101,8 +93,7 @@ class McEstimate:
     n_steps_used: int = 0
     # paths alive at some start after each tenth of the steps (11 counts)
     live_paths: list[int] = field(default_factory=list)
-    # normals the state updates consumed (unused block tails and the last
-    # lookahead draw excluded)
+    # normals drawn: d per live path column per step, over both blocks
     normals: int = 0
 
 
@@ -117,16 +108,17 @@ def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
 
 
 _TWO_PI = np.float32(2.0 * math.pi)
+_CHUNK = 32768  # columns per f and level-function call
 
 
-def _normals(rng: np.random.Generator, out: np.ndarray, scratch) -> np.ndarray:
-    """Fill the C-contiguous ``out`` with Box-Muller normals and return it.
+def _normals(rng: np.random.Generator, out: np.ndarray, scratch, var: float) -> np.ndarray:
+    """Fill the C-contiguous ``out`` with Box-Muller N(0, var) draws, return it.
 
     ``scratch`` is a float64 and a float32 array, each of at least
     ceil(out.size / 2) values.  With N = out.size and h = ceil(N/2), the
     flat block gets r cos a in its first h slots and r sin a in the other
-    N - h, from h float64 uniforms for the radii and h float32 uniforms
-    for the angles.
+    N - h, from h float64 uniforms u for the radii r = sqrt(-2 var log(1 - u))
+    and h float32 uniforms for the angles.
     """
     flat = out.reshape(-1)
     n = flat.size
@@ -136,7 +128,7 @@ def _normals(rng: np.random.Generator, out: np.ndarray, scratch) -> np.ndarray:
     rng.random(out=r)
     np.subtract(1.0, r, out=r)  # in (0, 1], so the log is finite
     np.log(r, out=r)
-    r *= -2.0
+    r *= -2.0 * var
     np.sqrt(r, out=r)
     rng.random(out=a, dtype=np.float32)
     a *= _TWO_PI
@@ -147,103 +139,108 @@ def _normals(rng: np.random.Generator, out: np.ndarray, scratch) -> np.ndarray:
     return out
 
 
+def _live_chunks(states: np.ndarray, m: int):
+    """(start, columns, (c, d) view) over chunks of the first m columns."""
+    for s in range(states.shape[1]):
+        for c in range(0, m, _CHUNK):
+            cols = slice(c, min(c + _CHUNK, m))
+            yield s, cols, states[:, s, cols].T
+
+
+def _path_block(est: KilledPathEstimator, f, starts: np.ndarray,
+                rng: np.random.Generator, n: int, stop: threading.Event):
+    """Unscaled sums (v, n), steps run, live counts and normals of one block.
+
+    Columns [:m] of the (d, v, n) states are live.  After the kill test,
+    each column dead at every start, first to last, takes the place of the
+    last live column.  The loop ends early once ``stop`` is set.
+    """
+    v, d = starts.shape
+    states = np.repeat(starts.T[:, :, None], n, axis=2)
+    acc = np.zeros((v, n))
+    totals = np.zeros((v, n))  # by original column, written on death or at the cap
+    path_id = np.arange(n)
+    alive = np.ones((v, n), dtype=bool)  # per start; all true in [:m] when v = 1
+    noise = np.empty(d * n)
+    half = d * n - d * n // 2
+    scratch = (np.empty(half), np.empty(half, dtype=np.float32))
+    m = n
+    steps_used = normals = 0
+    marks = [i * est.n_steps // 10 for i in range(11)]  # steps run at each tenth
+    live_paths = [n] * marks.count(0)
+    for k in range(est.n_steps):
+        if m == 0 or stop.is_set():
+            break
+        steps_used = k + 1
+        # trapezoid rule in the discounted integrand: half weight at k = 0
+        w = math.exp(-k * est.dt / est.sigma) * (0.5 if k == 0 else 1.0)
+        for s, cols, points in _live_chunks(states, m):
+            terms = np.asarray(f(points), dtype=float) * w  # fresh: f may return a view
+            if v > 1:
+                terms *= alive[s, cols]
+            acc[s, cols] += terms
+        live = states[:, :, :m]
+        live *= 1.0 - est.dt
+        live += _normals(rng, noise[:d * m].reshape(d, m), scratch, 2.0 * est.dt)[:, None, :]
+        normals += d * m
+        if est.domain is not None:
+            for s, cols, points in _live_chunks(states, m):
+                alive[s, cols] &= np.asarray(est.domain.value(points)) < 0.0
+            dead = np.flatnonzero(~alive[:, :m].any(axis=0))
+            if dead.size:
+                totals[:, path_id[dead]] = acc[:, dead]
+                last, m = m, m - dead.size
+                holes, gone = np.split(dead, [np.searchsorted(dead, m)])
+                movers = np.setdiff1d(np.arange(m, last), gone)[::-1]
+                for arr in (states, acc, alive, path_id):
+                    arr[..., holes] = arr[..., movers]
+        live_paths += [m] * marks.count(k + 1)
+    totals[:, path_id[:m]] = acc[:, :m]
+    live_paths += [0] * (11 - len(live_paths))  # all dead after a break
+    return totals, steps_used, live_paths, normals
+
+
 def _killed_paths(est: KilledPathEstimator, f,
                   starts: np.ndarray) -> tuple[np.ndarray, int, list[int], int]:
     """Per-path discounted occupation sums from v start points.
 
     Path j draws the same noise xi_k at every start (common random
-    numbers), so differences between starts are low variance.  The states
-    are held as (d, v, m): coordinate, start, live path column.  A path
-    column is compacted away once it is dead at every start; until then its
-    dead rows are stepped but masked out of the sums.
-
-    As soon as step k's normals are taken, one worker thread starts step
-    k+1's draw into the second of two flat buffers of d*n values, while
-    this thread runs step k's update and kill test and step k+1's f.  The
-    draw fills d*m' values, m' being the live-column count before step k's
-    kill test; step k+1 views them as (d, m') and uses the first m <= m'
-    columns.  The generator and the draw's scratch are only ever used on
-    the worker, f and the level function only on this thread.  The
-    ``with`` block joins the worker on return and on error.
+    numbers), so differences between starts are low variance.  An error
+    in one block stops the other at its next step and reaches the caller.
 
     Returns the per-path estimates, shape (v, n_paths), the number of steps
     run, the number of paths alive at some start after each tenth of
-    ``est.n_steps`` (11 counts, from step 0), and the number of normals the
-    state updates consumed.
+    ``est.n_steps`` (11 counts, from step 0), and the normals drawn.
     """
-    v, d = starts.shape
     n = est.n_paths
-    n_steps = est.n_steps
-    rng = np.random.default_rng(est.seed)
-    states = np.repeat(starts.T[:, :, None], n, axis=2)  # (d, v, m), m live columns
-    totals = np.zeros((v, n))  # per original path, written on death/cap
-    acc = np.zeros((v, n))
-    path_id = np.arange(n)
-    alive = np.ones((v, n), dtype=bool)
-    noise = (np.empty(d * n), np.empty(d * n))
-    half = n * d - n * d // 2
-    scratch = (np.empty(half), np.empty(half, dtype=np.float32))
-    sqrt_step = math.sqrt(2.0 * est.dt)
-    decay = 1.0 - est.dt
-    steps_used = 0
-    normals = 0
-    marks = [i * n_steps // 10 for i in range(11)]  # steps run at each tenth
-    live_paths = [n] * marks.count(0)
-    with ThreadPoolExecutor(1, thread_name_prefix="oucontract-normals") as pool:
-        draw = pool.submit(_normals, rng, noise[0], scratch)
-        for k in range(n_steps):
-            steps_used = k + 1
-            m = states.shape[2]
-            # (v*m, d) view with contiguous columns; states stays
-            # C-contiguous, so the view also sees the in-place step below
-            points = states.reshape(d, v * m).T
-            # trapezoid rule in the discounted integrand: half weight at k = 0
-            w = math.exp(-k * est.dt / est.sigma)
-            if k == 0:
-                w *= 0.5
-            # f may return a view into the state buffer: fv * alive is a
-            # fresh array, so it is scaled in place; a live path's term is
-            # w * fv to the bit, a dead one's is 0
-            fv = np.asarray(f(points), dtype=float).reshape(v, m) * alive
-            fv *= w
-            acc += fv
-            buf = draw.result().reshape(d, -1)[:, :m]
-            draw = pool.submit(_normals, rng, noise[(k + 1) % 2][:d * m], scratch)
-            states *= decay
-            buf *= sqrt_step
-            states += buf[:, None, :]
-            normals += buf.size
-            n_live = m
-            if est.domain is not None:
-                inside = np.asarray(est.domain.value(points)) < 0.0
-                alive &= inside.reshape(v, m)
-                n_alive = int(np.count_nonzero(alive))
-                if n_alive == 0:
-                    break
-                if n_alive < alive.size:
-                    live = alive.any(axis=0)
-                    n_live = int(np.count_nonzero(live))
-                    if m - n_live > m // 8:
-                        dead = ~live
-                        totals[:, path_id[dead]] = acc[:, dead]
-                        states = np.ascontiguousarray(states[:, :, live])
-                        acc = acc[:, live]
-                        path_id = path_id[live]
-                        alive = alive[:, live]
-            live_paths += [n_live] * marks.count(k + 1)
-        draw.result()  # the last lookahead draw is unused; surface its errors
-    if path_id.size:
-        totals[:, path_id] = acc
-    live_paths += [0] * (11 - len(live_paths))  # all dead after a break
-    return totals * (est.dt / est.sigma), steps_used, live_paths, normals
+    stop = threading.Event()
+
+    def block(seed, size):
+        try:
+            return _path_block(est, f, starts, np.random.default_rng(seed), size, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(2, thread_name_prefix="oucontract-paths") as pool:
+        runs = [pool.submit(block, seed, size) for seed, size in
+                zip(np.random.SeedSequence(est.seed).spawn(2), (n // 2, n - n // 2))]
+        try:
+            (sums0, steps0, live0, drawn0), (sums1, steps1, live1, drawn1) = \
+                [run.result() for run in runs]
+        finally:
+            stop.set()  # also when the caller is interrupted
+    return (np.concatenate([sums0, sums1], axis=1) * (est.dt / est.sigma),
+            max(steps0, steps1), [a + b for a, b in zip(live0, live1)], drawn0 + drawn1)
 
 
 def mc_resolvent(est: KilledPathEstimator, f, x) -> McEstimate:
     """Estimate u(x) = (I - sigma*L)^-1 f at one interior point.
 
     f must accept batches (n, d) -> (n,).  f and the domain's level function
-    are given an (n, d) view whose columns are contiguous (not C order); they
-    must not assume C order, and must not write into it.  Returns the
+    are given (n, d) views whose columns are contiguous (not C order), from
+    two threads at once; they must not assume C order, must not write into
+    the view and must keep no state between calls.  Returns the
     path-mean and its standard error; the deterministic discretization
     allowance is available separately via ``est.bias_budget``.
     """

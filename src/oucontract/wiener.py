@@ -75,6 +75,8 @@ def basel_partial_sum(m: int) -> float:
 
 def _kl_frequencies(kind: str, m: int) -> np.ndarray:
     """1/sqrt(lambda_n) for n = 1..m: (n - 1/2) pi for the motion, n pi for the bridge."""
+    if kind not in (BM, BRIDGE):
+        raise ValueError(f"unknown basis kind {kind!r}")
     idx = np.arange(1, m + 1, dtype=float)
     return (idx - 0.5) * math.pi if kind == BM else idx * math.pi
 
@@ -91,8 +93,6 @@ class KLBasis:
 
     @classmethod
     def build(cls, kind: str, m: int, n_panels: int | None = None) -> "KLBasis":
-        if kind not in (BM, BRIDGE):
-            raise ValueError(f"unknown basis kind {kind!r}")
         if m < 1:
             raise ValueError("truncation must be >= 1")
         if n_panels is None:
@@ -110,14 +110,13 @@ class KLBasis:
         return np.atleast_2d(np.asarray(coeffs, dtype=float)) @ self.h_table
 
 
-def trace_density(s, m: int, basis: KLBasis) -> np.ndarray:
-    """f_m(s) = sum_{n<=m} h_n(s)^2 for the basis kind, one value per s.
+def trace_density(s, m: int, kind: str) -> np.ndarray:
+    """f_m(s) = sum_{n<=m} h_n(s)^2 for the basis ``kind``, one value per s.
 
-    Any truncation m may be requested regardless of the built basis size;
     m = 0 gives the empty sum.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    freq = _kl_frequencies(basis.kind, m)
+    freq = _kl_frequencies(kind, m)
     h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s_arr[None, :])
     return np.sum(h * h, axis=0)
 

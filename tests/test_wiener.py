@@ -47,29 +47,33 @@ class TestSeries:
             prev = val
 
     def test_trace_density_empty_sum(self):
-        basis = KLBasis.build(BM, 1)
-        assert trace_density(0.37, 0, basis) == 0.0
+        assert trace_density(0.37, 0, BM) == 0.0
 
     def test_bm_trace_integral(self):
         basis = KLBasis.build(BM, 1, n_panels=200)
-        f200 = trace_density(basis.s_nodes, 200, basis)
+        f200 = trace_density(basis.s_nodes, 200, BM)
         assert abs(float(f200 @ basis.s_weights) - 0.5) <= 1e-3
 
     def test_bm_trace_integral_increases_with_m(self):
         basis = KLBasis.build(BM, 1, n_panels=256)
-        vals = [float(trace_density(basis.s_nodes, m, basis) @ basis.s_weights)
+        vals = [float(trace_density(basis.s_nodes, m, BM) @ basis.s_weights)
                 for m in (10, 50, 200)]
         assert vals[0] < vals[1] < vals[2] < 0.5
 
     def test_bridge_trace_limit(self):
-        basis = KLBasis.build(BRIDGE, 1)
         s = np.linspace(0, 1, 101)
-        sup_err = np.max(np.abs(trace_density(s, 500, basis) - (s - s * s)))
+        sup_err = np.max(np.abs(trace_density(s, 500, BRIDGE) - (s - s * s)))
         assert sup_err <= 2e-3
-        assert trace_density(0.5, 500, basis) == pytest.approx(0.25, abs=1e-3)
+        assert trace_density(0.5, 500, BRIDGE) == pytest.approx(0.25, abs=1e-3)
 
 
 class TestKLBasis:
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown basis kind 'bm'"):
+            KLBasis.build("bm", 2)
+        with pytest.raises(ValueError, match="unknown basis kind 'bm'"):
+            trace_density(0.5, 3, "bm")
+
     @pytest.mark.parametrize("kind", [BM, BRIDGE])
     def test_orthonormal_in_h(self, kind):
         basis = KLBasis.build(kind, 8)
