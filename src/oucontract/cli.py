@@ -405,9 +405,8 @@ def suite_wiener(cfg, seed) -> SuiteReport:
                         basel_err <= cfg["basel_tol"], True, {"m": m}))
 
     mt = cfg["bm_trace_m"]
-    basis = KLBasis.build(BM, 1, n_panels=max(16, mt))
-    fvals = wiener.trace_density(basis.s_nodes, mt, BM)
-    integral = float(fvals @ basis.s_weights)
+    s, w = wiener.composite_gauss_legendre(max(16, mt))
+    integral = float(wiener.trace_density(s, mt, BM) @ w)
     err = abs(integral - 0.5)
     rep.add(CheckRecord("bm-trace-integral", err, cfg["bm_trace_tol"],
                         err <= cfg["bm_trace_tol"], True, {"m": mt}))

@@ -204,14 +204,14 @@ def project_to_boundary(
 class CurvatureAudit:
     """Hgamma sampled over the boundary and compared with an analytic bound.
 
-    ``values`` holds Hgamma at the (n, dim) ``points`` and ``grads`` holds
-    grad G there.  The bound is Hgamma >= numerator / |grad G|; a sign scan
-    is the case numerator = 0, whose slack is Hgamma itself.  ``failures``
-    names the premises of the bound that did not hold.
+    ``values`` holds Hgamma at the n audited boundary points and ``grads``
+    holds grad G there, shape (n, dim).  The bound is
+    Hgamma >= numerator / |grad G|; a sign scan is the case numerator = 0,
+    whose slack is Hgamma itself.  ``failures`` names the premises of the
+    bound that did not hold.
     """
 
     values: np.ndarray = field(repr=False)
-    points: np.ndarray = field(repr=False)
     grads: np.ndarray = field(repr=False)
     numerator: float
     tol: float
@@ -249,15 +249,13 @@ def curvature_audit(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    points = np.empty((n_samples, dom.dim))
     grads = np.empty((n_samples, dom.dim))
     values = np.empty(n_samples)
     for i in range(n_samples):
         x = project_to_boundary(dom, rng.standard_normal(dom.dim)).x
-        points[i] = x
         grads[i] = dom.gradient(x)
         values[i] = gaussian_curvature(dom, x)
-    return CurvatureAudit(values, points, grads, numerator, tol)
+    return CurvatureAudit(values, grads, numerator, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ rescaled resolvent applied to f admits the stochastic representation
 
     u(x) = sigma^-1 * E[ integral_0^tau exp(-t/sigma) f(X_t) dt ],  X_0 = x,
 
-with tau the first exit time from the domain (tau = inf on the whole
-space).  Paths are advanced by Euler-Maruyama,
+with tau the first exit time from the domain.  Paths are advanced by
+Euler-Maruyama,
 
     X_{k+1} = X_k (1 - dt) + sqrt(2 dt) xi_k,
 
@@ -52,7 +52,7 @@ from .domains import LevelSetDomain
 
 @dataclass
 class KilledPathEstimator:
-    domain: LevelSetDomain | None
+    domain: LevelSetDomain
     sigma: float
     dt: float = 1e-3
     n_paths: int = 100_000
@@ -97,9 +97,7 @@ class McEstimate:
     normals: int = 0
 
 
-def _require_interior(domain: LevelSetDomain | None, x: np.ndarray) -> None:
-    if domain is None:
-        return
+def _require_interior(domain: LevelSetDomain, x: np.ndarray) -> None:
     if x.shape != (domain.dim,):
         raise ValueError(f"start point {x.tolist()} has shape {x.shape}, "
                          f"but 'dim' is {domain.dim}")
@@ -183,17 +181,16 @@ def _path_block(est: KilledPathEstimator, f, starts: np.ndarray,
         live *= 1.0 - est.dt
         live += _normals(rng, noise[:d * m].reshape(d, m), scratch, 2.0 * est.dt)[:, None, :]
         normals += d * m
-        if est.domain is not None:
-            for s, cols, points in _live_chunks(states, m):
-                alive[s, cols] &= np.asarray(est.domain.value(points)) < 0.0
-            dead = np.flatnonzero(~alive[:, :m].any(axis=0))
-            if dead.size:
-                totals[:, path_id[dead]] = acc[:, dead]
-                last, m = m, m - dead.size
-                holes, gone = np.split(dead, [np.searchsorted(dead, m)])
-                movers = np.setdiff1d(np.arange(m, last), gone)[::-1]
-                for arr in (states, acc, alive, path_id):
-                    arr[..., holes] = arr[..., movers]
+        for s, cols, points in _live_chunks(states, m):
+            alive[s, cols] &= np.asarray(est.domain.value(points)) < 0.0
+        dead = np.flatnonzero(~alive[:, :m].any(axis=0))
+        if dead.size:
+            totals[:, path_id[dead]] = acc[:, dead]
+            last, m = m, m - dead.size
+            holes, gone = np.split(dead, [np.searchsorted(dead, m)])
+            movers = np.setdiff1d(np.arange(m, last), gone)[::-1]
+            for arr in (states, acc, alive, path_id):
+                arr[..., holes] = arr[..., movers]
         live_paths += [m] * marks.count(k + 1)
     totals[:, path_id[:m]] = acc[:, :m]
     live_paths += [0] * (11 - len(live_paths))  # all dead after a break

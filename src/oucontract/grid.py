@@ -129,14 +129,11 @@ class GaussianGrid:
             out[:, a] = self.axes[a][i]
         return out
 
-    def node_weights(self, nodes: np.ndarray | None = None) -> np.ndarray:
+    def node_weights(self, nodes: np.ndarray) -> np.ndarray:
         """theta_d(x) * prod(h) at flat C-order node indices, shape (k,).
 
-        With no argument every node's weight, shape = grid shape.  The
-        product is formed axis by axis from 1, then times the cell volume.
+        The product is formed axis by axis from 1, then times the cell volume.
         """
-        if nodes is None:
-            return self.node_weights(np.arange(self.n_nodes)).reshape(self.shape)
         w = np.ones(len(nodes))
         for a, i in self._axis_indices(nodes):
             w *= gauss.density_1d(self.axes[a])[i]

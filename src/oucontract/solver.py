@@ -23,8 +23,7 @@ diagonal, +stride_{d-1} ... +stride_0, through one int32 array of each row's
 next free slot.  With no COO triplets, no sort and no duplicate sum, and the
 node weights gathered at the unknowns rather than built for the whole grid,
 the assembly's transient memory on a 61^3 ball grid is 1.8 times the
-operator it returns, where the COO route took 5.3 times.  At sigma = 0 the
-couplings are stored as explicit -0.0 entries.
+operator it returns, where the COO route took 5.3 times.
 
 The solve runs plain conjugate gradients on the symmetrized system, written
 here rather than taken from scipy: it starts from 0, stops once
@@ -81,14 +80,9 @@ def _axis_face_ratios(grid: GaussianGrid, a: int) -> tuple[np.ndarray, np.ndarra
 
 
 def assemble_ou_operator(grid: GaussianGrid, sigma: float) -> OuOperator:
-    """Build the symmetrized interior system A = I - sigma*L_h.
-
-    sigma = 0 yields the identity.  Negative sigma is rejected, the
-    resolvent is only defined for sigma > 0 (0 allowed as the trivial
-    limit).
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    """Build the symmetrized interior system A = I - sigma*L_h, sigma > 0."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     interior = grid.interior
     flat_int = np.flatnonzero(interior.reshape(-1))
     m = flat_int.size
@@ -183,7 +177,6 @@ class ResolventSolution:
     residual: float
     iterations: int
     converged: bool
-    sigma: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -245,8 +238,7 @@ def solve_resolvent(
 
     if bnorm == 0.0:
         u = ScalarField.zeros(grid)
-        return ResolventSolution(u, 0.0, 0, True, job.sigma,
-                                 {"n_unknowns": op.n_unknowns})
+        return ResolventSolution(u, 0.0, 0, True, {"n_unknowns": op.n_unknowns})
 
     budget = _iteration_budget(op.n_unknowns)
     x, iters = _cg(op.matrix, b, tol * bnorm, budget)
@@ -261,6 +253,5 @@ def solve_resolvent(
         residual=res,
         iterations=iters,
         converged=(iters < budget and res <= tol * 10.0),
-        sigma=job.sigma,
         diagnostics={"n_unknowns": op.n_unknowns},
     )

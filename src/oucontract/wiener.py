@@ -81,33 +81,31 @@ def _kl_frequencies(kind: str, m: int) -> np.ndarray:
     return (idx - 0.5) * math.pi if kind == BM else idx * math.pi
 
 
+def _kl_table(kind: str, m: int, s: np.ndarray) -> np.ndarray:
+    """(m, len(s)) values h_n(s) = sqrt(2/f_n^2) sin(f_n s), f_n = 1/sqrt(lambda_n)."""
+    freq = _kl_frequencies(kind, m)
+    return np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s[None, :])
+
+
 @dataclass
 class KLBasis:
     """Truncated Karhunen-Loeve system with an s-quadrature on [0, 1]."""
 
     kind: str
     m: int
-    s_nodes: np.ndarray
     s_weights: np.ndarray
-    h_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i
+    h_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i at the s-nodes
 
     @classmethod
-    def build(cls, kind: str, m: int, n_panels: int | None = None) -> "KLBasis":
+    def build(cls, kind: str, m: int) -> "KLBasis":
+        """Basis of m terms on max(16, m) Gauss-Legendre panels."""
         if m < 1:
             raise ValueError("truncation must be >= 1")
-        if n_panels is None:
-            n_panels = max(16, m)
-        s, w = composite_gauss_legendre(n_panels)
-        freq = _kl_frequencies(kind, m)
-        h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s[None, :])
-        return cls(kind, m, s, w, h)
+        s, w = composite_gauss_legendre(max(16, m))
+        return cls(kind, m, w, _kl_table(kind, m, s))
 
     def h1_integral(self) -> float:
         return float(self.h_table[0] @ self.s_weights)
-
-    def paths(self, coeffs: np.ndarray) -> np.ndarray:
-        """Path values sum_i xi_i h_i(s_k) for coefficient rows."""
-        return np.atleast_2d(np.asarray(coeffs, dtype=float)) @ self.h_table
 
 
 def trace_density(s, m: int, kind: str) -> np.ndarray:
@@ -115,9 +113,7 @@ def trace_density(s, m: int, kind: str) -> np.ndarray:
 
     m = 0 gives the empty sum.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    freq = _kl_frequencies(kind, m)
-    h = np.sqrt(2.0 / freq**2)[:, None] * np.sin(freq[:, None] * s_arr[None, :])
+    h = _kl_table(kind, m, np.atleast_1d(np.asarray(s, dtype=float)))
     return np.sum(h * h, axis=0)
 
 
@@ -310,7 +306,7 @@ def cylindrical_domain(spec: FunctionalSpec, basis: KLBasis) -> LevelSetDomain:
 
 def pathwise_level_value(spec: FunctionalSpec, basis: KLBasis, coeffs) -> float:
     """G_m(xi) for one coefficient vector (quadrature of g along the path)."""
-    paths = basis.paths(coeffs)
+    paths = np.atleast_2d(np.asarray(coeffs, dtype=float)) @ basis.h_table
     vals = np.asarray(spec.g(paths)) @ basis.s_weights
     return float(np.atleast_1d(vals)[0]) - spec.r
 

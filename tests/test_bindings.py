@@ -8,6 +8,8 @@ them on ``cli`` (see ``tests/test_bench_interface.py``).
 
 Every public function and method has a caller in a program, the package or
 ``bench/``; the few that only tests call yet are listed with their reason.
+What only their bodies read is not reached by a program.  Every dataclass
+field is read by a program.
 """
 
 import ast
@@ -87,23 +89,87 @@ def _public_functions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _referenced(tree) -> set[str]:
-    """Every name that the tree uses as a ``Name`` or an ``Attribute``."""
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+def _package_trees():
+    """(module name, parsed module) of every file in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _program_nodes(skip=()):
+    """Every node of a program, outside the bodies of the functions in ``skip``.
+
+    A program is the package less its re-exports in __init__, or bench/.
+    """
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for path in files + sorted(BENCH.glob("*.py")):
+        todo = [ast.parse(path.read_text(encoding="utf-8"))]
+        while todo:
+            node = todo.pop()
+            if not (isinstance(node, ast.FunctionDef) and node.name in skip):
+                yield node
+                todo.extend(ast.iter_child_nodes(node))
+
+
+def _unreached(skip=()) -> list[str]:
+    """Public functions, methods and properties that no program reads.
+
+    A function counts as read when its name is used as a ``Name`` or an
+    ``Attribute``; a method or property only as an ``Attribute``, so a
+    local variable of the same name does not reach it.
+    """
+    names, attrs = set(), set()
+    for node in _program_nodes(skip):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+
+    def read(qualified, name):
+        return name in attrs or ("." not in qualified and name in names)
+
+    return sorted(f"{stem}.{qualified}" for stem, tree in _package_trees()
+                  for qualified, name in _public_functions(tree)
+                  if not name.startswith("_") and not read(qualified, name))
 
 
 def test_every_public_function_has_a_program_caller():
-    # a program is the package less its re-exports in __init__, or bench/
-    defined, referenced = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, name in _public_functions(tree):
-            if not name.startswith("_"):
-                defined[f"{path.stem}.{qualified}"] = name
-        if path.name != "__init__.py":
-            referenced |= _referenced(tree)
-    for path in sorted(BENCH.glob("*.py")):
-        referenced |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
-    uncalled = {qualified for qualified, name in defined.items() if name not in referenced}
-    assert sorted(uncalled) == sorted(q for q, name in defined.items() if name in UNCALLED)
+    exempt = {f"{stem}.{qualified}" for stem, tree in _package_trees()
+              for qualified, name in _public_functions(tree) if name in UNCALLED}
+    assert _unreached() == sorted(exempt)
+
+
+def test_reads_inside_uncalled_functions_do_not_count():
+    # the exemption covers an UNCALLED function, not the members that only
+    # its body reads: those have no program caller either
+    assert sorted(set(_unreached(skip=UNCALLED)) - set(_unreached())) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def _dataclass_fields():
+    """(module.class.field, class name, field name) of every dataclass field."""
+    for stem, tree in _package_trees():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                for item in cls.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{stem}.{cls.name}.{item.target.id}", cls.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_a_program():
+    # read as an attribute by a program, or its class read whole through
+    # dataclasses.fields or astuple; by bare name, so a field that shares
+    # its name with an attribute read elsewhere passes
+    reads, whole = set(), set()
+    for node in _program_nodes(skip=UNCALLED):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("fields", "astuple")):
+            whole |= {a.id for a in node.args if isinstance(a, ast.Name)}
+    assert [qualified for qualified, cls, name in _dataclass_fields()
+            if name not in reads and cls not in whole] == []

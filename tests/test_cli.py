@@ -83,13 +83,13 @@ SMALL_ORACLE_2D_CFG = {**DEFAULT_CONFIGS["oracle"], "n_paths": 500, "dt": 1e-2, 
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The solutions of every solve made through the solver module, in call order."""
+    """(job, solution) of every solve made through the solver module, in call order."""
     calls = []
     orig = solver.solve_resolvent
 
-    def counted(*args, **kwargs):
-        calls.append(orig(*args, **kwargs))
-        return calls[-1]
+    def counted(job, *args, **kwargs):
+        calls.append((job, orig(job, *args, **kwargs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(solver, "solve_resolvent", counted)
     return calls
@@ -369,7 +369,7 @@ class TestUnconvergedSolves:
         lemma = run_suite("lemma", {**TWO_SWEEP_LEMMA_CFG,
                                     "sweeps": SMALL_CONTRACT_CFG["sweeps"]},
                           tmp_path, seed=1)
-        assert solve_calls and not any(sol.converged for sol in solve_calls)
+        assert solve_calls and not any(sol.converged for _, sol in solve_calls)
         for rep in (contract, lemma):
             assert rep.records and not rep.ok
             assert not any(rec.passed for rec in rep.records)
@@ -377,11 +377,11 @@ class TestUnconvergedSolves:
         assert all(rec.asserted for rec in contract.records + lemma.records)
 
 
-def solve_counters(sols) -> dict:
-    """The profile counters that the given solves make."""
-    return {"linear_solves": len(sols),
-            "cg_iterations": sum(s.iterations for s in sols),
-            "unknowns": sum(s.diagnostics["n_unknowns"] for s in sols)}
+def solve_counters(calls) -> dict:
+    """The profile counters that the given (job, solution) solves make."""
+    return {"linear_solves": len(calls),
+            "cg_iterations": sum(s.iterations for _, s in calls),
+            "unknowns": sum(s.diagnostics["n_unknowns"] for _, s in calls)}
 
 
 def work_counters(rep) -> dict:
@@ -436,7 +436,7 @@ class TestSharedSweeps:
         cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": [{**half, "sigmas": [2.0]}, ball]}
         del solve_calls[:]
         rep = run_suite("lemma", cfg, tmp_path / "lemma", seed=5)
-        assert [sol.sigma for sol in solve_calls] == [2.0]
+        assert [job.sigma for job, _ in solve_calls] == [2.0]
         assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 2}
         assert cli._SOLVED_SWEEPS == {}
 
@@ -445,7 +445,7 @@ class TestSharedSweeps:
         del solve_calls[:]
         rep = run_suite("lemma", {**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10},
                         tmp_path / "lemma", seed=5)
-        assert sorted(sol.sigma for sol in solve_calls) == [0.1, 1.0, 1.0]
+        assert sorted(job.sigma for job, _ in solve_calls) == [0.1, 1.0, 1.0]
         assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 0}
         # the contract's entries stay until the next contract run empties them
         assert len(cli._SOLVED_SWEEPS) == 2
@@ -475,12 +475,12 @@ class TestProfile:
         assert set(profile) == {"linear_solves", "cg_iterations", "unknowns", "probes",
                                 "wall_s", "peak_rss_mb"}
         assert profile == rep.profile
-        grid = GaussianGrid.build(build_domain(SMALL_ORACLE_CFG["cases"][0]["domain"]),
-                                  -8.0, 8.0, 0.05)
+        dom = build_domain(SMALL_ORACLE_CFG["cases"][0]["domain"])
+        grid = GaussianGrid.build(dom, -8.0, 8.0, 0.05)
         assert profile["linear_solves"] == 1
         assert profile["unknowns"] == grid.n_interior
         assert profile["cg_iterations"] > 0
-        n_steps = cli.KilledPathEstimator(None, 0.4, dt=1e-2).n_steps
+        n_steps = cli.KilledPathEstimator(dom, 0.4, dt=1e-2).n_steps
         assert list(profile["probes"]) == [r.name for r in rep.records]
         for probe in profile["probes"].values():
             assert 0 < probe["mc_steps_used"] <= n_steps
@@ -499,7 +499,7 @@ class TestProfile:
         # dims 1 and 2 solve n = 1, 2, 3 at each sigma; n = 2 feeds two rows
         cfg = {**DEFAULT_CONFIGS["converge"], "dims": [1, 2], "h": 0.6, "gh_nodes": 6}
         rep = run_suite("converge", cfg, tmp_path / "converge", seed=1)
-        assert [s.u.grid.dim for s in solve_calls[n_contract:]] == [1, 2, 3, 1, 2, 3]
+        assert [s.u.grid.dim for _, s in solve_calls[n_contract:]] == [1, 2, 3, 1, 2, 3]
         assert work_counters(rep) == solve_counters(solve_calls[n_contract:])
         rep = run_suite("curvature", small_curvature_cfg(0.9), tmp_path / "curvature", seed=1)
         assert len(solve_calls) == n_contract + 6

@@ -29,6 +29,11 @@ def normals(rng, shape, var=1.0):
                                 var)
 
 
+def far_wall(dim):
+    # a wall at x_1 = 50 that no path reaches: the whole space for these runs
+    return halfspace(dim, -50.0)
+
+
 def batch_sizes(f, sizes):
     # records the batch size of every call; each death shrinks it
     def counted(p):
@@ -40,12 +45,12 @@ def batch_sizes(f, sizes):
 @pytest.fixture(scope="module")
 def free_estimator():
     # whole space, modest budget: unit tests trade precision for speed
-    return KilledPathEstimator(None, sigma=1.0, dt=2e-3, n_paths=2000, seed=5)
+    return KilledPathEstimator(far_wall(1), sigma=1.0, dt=2e-3, n_paths=2000, seed=5)
 
 
 class TestEstimatorContract:
     def test_default_cap_meets_budget(self):
-        est = KilledPathEstimator(None, sigma=0.3)
+        est = KilledPathEstimator(far_wall(1), sigma=0.3)
         assert np.exp(-est.t_max / est.sigma) <= 1e-6 * (1 + 1e-9)
 
     def test_interior_precondition(self):
@@ -105,8 +110,6 @@ def block_reference(est, f, starts, b):
         acc += w * (f(x.reshape(v * m, d)).reshape(v, m) * alive)
         noise = normals(rng, (d, m), 2.0 * est.dt).T
         x = x * (1.0 - est.dt) + noise[None, :, :]
-        if est.domain is None:
-            continue
         alive &= est.domain.value(x.reshape(v * m, d)).reshape(v, m) < 0.0
         dead = (~alive.any(axis=0)).tolist()
         for j in np.flatnonzero(dead):
@@ -190,8 +193,8 @@ class TestPathBlocks:
 
     def test_f_sees_chunks_of_live_columns(self):
         sizes = []
-        est = KilledPathEstimator(None, sigma=0.1, dt=0.05, n_paths=4 * feynman_kac._CHUNK + 6,
-                                  seed=4)
+        est = KilledPathEstimator(far_wall(1), sigma=0.1, dt=0.05,
+                                  n_paths=4 * feynman_kac._CHUNK + 6, seed=4)
         mc = mc_resolvent(est, batch_sizes(ones, sizes), np.array([0.3]))
         assert max(sizes) == feynman_kac._CHUNK
         assert sum(sizes) == est.n_paths * est.n_steps == mc.normals
@@ -236,7 +239,7 @@ class TestPathBlocks:
         assert mc.live_paths == [free_estimator.n_paths] * 11
 
     def test_normals_count_every_path_step_on_whole_space(self):
-        est = KilledPathEstimator(None, sigma=0.2, dt=1e-2, n_paths=301, seed=2)
+        est = KilledPathEstimator(far_wall(2), sigma=0.2, dt=1e-2, n_paths=301, seed=2)
         mc = mc_resolvent(est, ones, np.array([0.3, -0.1]))
         assert mc.normals == est.n_paths * 2 * est.n_steps
 
@@ -294,7 +297,7 @@ class TestResolventValues:
 
     def test_linear_eigenfunction(self):
         # J_sigma x = x/(1+sigma) on the whole space
-        est = KilledPathEstimator(None, sigma=1.0, dt=2e-3, n_paths=20_000, seed=6)
+        est = KilledPathEstimator(far_wall(1), sigma=1.0, dt=2e-3, n_paths=20_000, seed=6)
         mc = mc_resolvent(est, lambda p: p[:, 0], np.array([0.7]))
         assert abs(mc.value - 0.35) <= 3 * mc.stderr + est.bias_budget(0.7 + 5.0)
 
@@ -306,7 +309,7 @@ class TestResolventValues:
         def f(p):
             return p[:, 1] + 2.0 * p[:, 0] ** 2
 
-        est = KilledPathEstimator(None, sigma=0.5, dt=5e-3, n_paths=3001, seed=19)
+        est = KilledPathEstimator(far_wall(2), sigma=0.5, dt=5e-3, n_paths=3001, seed=19)
         x0 = np.array([0.3, -0.6])
         mc = mc_resolvent(est, f, x0)
         per_path = []
@@ -388,7 +391,7 @@ class TestGradientProbe:
     def test_linear_function_derivative(self):
         # d/dx J_sigma x = 1/(1+sigma); common random numbers make the
         # difference nearly deterministic
-        est = KilledPathEstimator(None, sigma=1.0, dt=2e-3, n_paths=5000, seed=8)
+        est = KilledPathEstimator(far_wall(1), sigma=1.0, dt=2e-3, n_paths=5000, seed=8)
         g = mc_gradient_probe(est, lambda p: p[:, 0], np.array([0.4]), 0.05)
         assert abs(g[0] - 0.5) <= 5e-3
 
@@ -396,7 +399,7 @@ class TestGradientProbe:
         # even f and symmetric start: the Euler chain is symmetric in law for
         # any dt, so the derivative in x1 has mean 0; with 81k paths its
         # standard error is 1.66e-3, so the bound is 3 SE
-        est = KilledPathEstimator(None, sigma=1.0, dt=1e-2, n_paths=81_000, seed=14)
+        est = KilledPathEstimator(far_wall(1), sigma=1.0, dt=1e-2, n_paths=81_000, seed=14)
         g = mc_gradient_probe(est, lambda p: p[:, 0] ** 2, np.array([0.0]), 0.05)
         assert abs(g[0]) <= 5e-3
 

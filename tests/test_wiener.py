@@ -50,14 +50,13 @@ class TestSeries:
         assert trace_density(0.37, 0, BM) == 0.0
 
     def test_bm_trace_integral(self):
-        basis = KLBasis.build(BM, 1, n_panels=200)
-        f200 = trace_density(basis.s_nodes, 200, BM)
-        assert abs(float(f200 @ basis.s_weights) - 0.5) <= 1e-3
+        s, w = wiener.composite_gauss_legendre(200)
+        f200 = trace_density(s, 200, BM)
+        assert abs(float(f200 @ w) - 0.5) <= 1e-3
 
     def test_bm_trace_integral_increases_with_m(self):
-        basis = KLBasis.build(BM, 1, n_panels=256)
-        vals = [float(trace_density(basis.s_nodes, m, BM) @ basis.s_weights)
-                for m in (10, 50, 200)]
+        s, w = wiener.composite_gauss_legendre(256)
+        vals = [float(trace_density(s, m, BM) @ w) for m in (10, 50, 200)]
         assert vals[0] < vals[1] < vals[2] < 0.5
 
     def test_bridge_trace_limit(self):
@@ -76,10 +75,10 @@ class TestKLBasis:
 
     @pytest.mark.parametrize("kind", [BM, BRIDGE])
     def test_orthonormal_in_h(self, kind):
-        basis = KLBasis.build(kind, 8)
+        s, w = wiener.composite_gauss_legendre(16)  # KLBasis.build(kind, 8)'s rule
         # h_i' = sqrt(2) cos(s / sqrt(lambda_i)); <h_i, h_j>_H = integral h_i' h_j' ds
-        hp = math.sqrt(2.0) * np.cos(wiener._kl_frequencies(kind, 8)[:, None] * basis.s_nodes)
-        gram = (hp * basis.s_weights) @ hp.T
+        hp = math.sqrt(2.0) * np.cos(wiener._kl_frequencies(kind, 8)[:, None] * s)
+        gram = (hp * w) @ hp.T
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
     @pytest.mark.parametrize("kind", [BM, BRIDGE])
@@ -98,7 +97,8 @@ class TestKLBasis:
         xi = np.array([0.7, -0.3])
         vals = []
         for panels in (16, 32):
-            basis = KLBasis.build(BM, 2, n_panels=panels)
+            s, w = wiener.composite_gauss_legendre(panels)
+            basis = KLBasis(BM, 2, w, wiener._kl_table(BM, 2, s))
             vals.append(pathwise_level_value(spec, basis, xi))
         assert abs(vals[0] - vals[1]) < 1e-10
 
@@ -158,7 +158,7 @@ def test_horner_gives_the_bits_of_polyval(name, monkeypatch):
     xi = np.arange(wiener._VALIDATION_LO, wiener._VALIDATION_HI + 0.5 * wiener._VALIDATION_STEP,
                    wiener._VALIDATION_STEP)
     rng = np.random.default_rng(3)
-    paths = KLBasis.build(BM, 4).paths(3.0 * rng.standard_normal((64, 4)))
+    paths = 3.0 * rng.standard_normal((64, 4)) @ KLBasis.build(BM, 4).h_table
     inputs = (xi, paths, -0.37, np.float64(2.5))
     funcs = (spec.g, spec.gp, spec.gpp)
     got = [f(x) for x in inputs for f in funcs]
