@@ -44,7 +44,7 @@ def batch_sizes(f, sizes):
 
 @pytest.fixture(scope="module")
 def free_estimator():
-    # whole space, modest budget: unit tests trade precision for speed
+    # a wall no path reaches, modest budget: unit tests trade precision for speed
     return KilledPathEstimator(far_wall(1), sigma=1.0, dt=2e-3, n_paths=2000, seed=5)
 
 

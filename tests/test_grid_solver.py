@@ -409,7 +409,9 @@ class TestAssembly:
     def test_negative_sigma_rejected(self, halfline_grid):
         with pytest.raises(ValueError):
             assemble_ou_operator(halfline_grid, -1.0)
-        # and zero, as ResolventJob rejects it
+
+    def test_zero_sigma_rejected(self, halfline_grid):
+        # sigma > 0, the rule ResolventJob applies too
         with pytest.raises(ValueError, match="sigma must be positive"):
             assemble_ou_operator(halfline_grid, 0.0)
 
@@ -456,7 +458,8 @@ ASSEMBLY_GRIDS = {
 
 
 class TestCsrAssembly:
-    @pytest.mark.parametrize("sigma", [1e-4, 1.0])
+    # sigma_0 of the contract and converge suites, oracle's sigma, and 1
+    @pytest.mark.parametrize("sigma", [1e-4, 0.4, 1.0])
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRIDS))
     def test_bitwise_equal_to_coo_construction(self, name, sigma):
         grid = ASSEMBLY_GRIDS[name]()

@@ -73,6 +73,17 @@ class TestKLBasis:
         with pytest.raises(ValueError, match="unknown basis kind 'bm'"):
             trace_density(0.5, 3, "bm")
 
+    @pytest.mark.parametrize("m", [3, 40])
+    def test_build_takes_max_16_m_panels(self, m):
+        # suite_wiener takes this s-quadrature from composite_gauss_legendre
+        s, w = wiener.composite_gauss_legendre(max(16, m))
+        basis = KLBasis.build(BM, m)
+        assert basis.s_weights.tobytes() == w.tobytes()
+        freq = (np.arange(1, m + 1) - 0.5) * math.pi
+        h = math.sqrt(2.0) / freq[:, None] * np.sin(freq[:, None] * s)
+        assert np.max(np.abs(basis.h_table - h)) < 1e-14
+        assert trace_density(s, m, BM).tobytes() == np.sum(basis.h_table**2, axis=0).tobytes()
+
     @pytest.mark.parametrize("kind", [BM, BRIDGE])
     def test_orthonormal_in_h(self, kind):
         s, w = wiener.composite_gauss_legendre(16)  # KLBasis.build(kind, 8)'s rule
