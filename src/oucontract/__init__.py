@@ -26,12 +26,12 @@ from .domains import (
 )
 from .grid import GaussianGrid, ScalarField, discrete_gradient
 from .solver import (
-    OuOperator,
     ResolventJob,
     ResolventSolution,
     assemble_ou_operator,
     discrete_ou_apply,
     solve_resolvent,
+    solve_resolvents,
 )
 from .feynman_kac import KilledPathEstimator, McEstimate, mc_gradient_probe, mc_resolvent
 from .contract import (

@@ -218,7 +218,7 @@ def suite_solve(cfg, seed) -> SuiteReport:
 def suite_contract(cfg, seed) -> SuiteReport:
     _check_ps(cfg)
     rep = SuiteReport("contract", seed, cfg)
-    recs = []  # every ContractRecord written, in table order
+    recs: list[ContractRecord] = []  # every record written, in table order
     sigma_zero = cfg["sigma_zero"]
     lo, hi_band = cfg["sigma_zero_band"]
     _SOLVED_SWEEPS.clear()

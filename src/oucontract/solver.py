@@ -36,6 +36,11 @@ is no preconditioner: the diagonal
 1 + sigma * sum_a 2 exp(-h_a^2/8) cosh(x_a h_a/2) / h_a^2 varies by about 10%
 over the default boxes, so Jacobi scaling is nearly a scalar and saves no
 iterations, while it costs one extra product per iteration.
+
+There is one solve path: ``solve_resolvents`` assembles the operator of one
+(grid, sigma) pair and solves every right-hand side on that grid with it,
+and ``solve_resolvent`` is its form for one job.  No assembled operator is
+passed in, so none can meet a right-hand side of another grid.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from . import grid as grid_mod
 from .grid import GaussianGrid, ScalarField
 
 
-# the work of every solve_resolvent call since cli.run_suite last zeroed it:
+# the work of every right-hand side solved since cli.run_suite last zeroed it:
 # the solves, and the CG iterations and unknowns summed over them
 tally = dict.fromkeys(["linear_solves", "cg_iterations", "unknowns"], 0)
 
@@ -59,15 +64,9 @@ tally = dict.fromkeys(["linear_solves", "cg_iterations", "unknowns"], 0)
 class OuOperator:
     """Assembled resolvent system for one (grid, sigma) pair."""
 
-    grid: GaussianGrid
-    sigma: float
     matrix: sp.csr_matrix            # symmetrized I - sigma*L_h on interior nodes
     sqrt_w: np.ndarray               # W^(1/2) on interior nodes, flat order
     interior_flat: np.ndarray        # flat indices of interior nodes
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.interior_flat.size
 
 
 def _axis_face_ratios(grid: GaussianGrid, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +127,7 @@ def assemble_ou_operator(grid: GaussianGrid, sigma: float) -> OuOperator:
         fill(rows, unknown_of[flat_int[rows] + strides[a]], coef[a])
 
     mat = sp.csr_matrix((data, indices, indptr), shape=(m, m))
-    return OuOperator(grid, sigma, mat, sqrt_w, flat_int)
+    return OuOperator(mat, sqrt_w, flat_int)
 
 
 def discrete_ou_apply(f: ScalarField) -> ScalarField:
@@ -160,15 +159,12 @@ def discrete_ou_apply(f: ScalarField) -> ScalarField:
 
 @dataclass
 class ResolventJob:
+    """One right-hand side to solve on a grid at sigma; ``solve_resolvents``
+    checks it."""
+
     grid: GaussianGrid
     sigma: float
     rhs: ScalarField
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.rhs.grid is not self.grid:
-            raise ValueError("rhs must live on the job grid")
 
 
 @dataclass
@@ -217,41 +213,42 @@ def _cg(matrix: sp.csr_matrix, b: np.ndarray, atol: float,
     return x, maxiter
 
 
-def solve_resolvent(
-    job: ResolventJob,
-    tol: float = 1e-10,
-    operator: OuOperator | None = None,
-) -> ResolventSolution:
-    """Solve (I - sigma*L_h) u = rhs with CG, u = 0 on exterior nodes.
+def solve_resolvents(grid: GaussianGrid, sigma: float, rhs: list[ScalarField],
+                     tol: float = 1e-10) -> list[ResolventSolution]:
+    """Solve (I - sigma*L_h) u = f with CG for each f of ``rhs``, u = 0 on
+    exterior nodes: one solution per right-hand side, in order.
 
-    When the iteration budget (``_iteration_budget``) runs out the best
-    iterate is returned with converged=False rather than raising.
+    The operator is assembled once and serves every right-hand side, each of
+    which must live on ``grid``.  When the iteration budget
+    (``_iteration_budget``) runs out the best iterate is returned with
+    converged=False rather than raising.
     """
-    op = operator if operator is not None else assemble_ou_operator(job.grid, job.sigma)
-    if op.sigma != job.sigma:
-        raise ValueError("operator sigma does not match job sigma")
-    tally["linear_solves"] += 1
-    tally["unknowns"] += op.n_unknowns
-    grid = job.grid
-    b = job.rhs.flat()[op.interior_flat] * op.sqrt_w
-    bnorm = math.sqrt(_dot(b, b))
+    if any(f.grid is not grid for f in rhs):
+        raise ValueError("rhs must live on the solve grid")
+    op = assemble_ou_operator(grid, sigma)
+    n = op.interior_flat.size
+    budget = _iteration_budget(n)
+    out = []
+    for f in rhs:
+        tally["linear_solves"] += 1
+        tally["unknowns"] += n
+        b = f.flat()[op.interior_flat] * op.sqrt_w
+        bnorm = math.sqrt(_dot(b, b))
+        if bnorm == 0.0:
+            out.append(ResolventSolution(ScalarField.zeros(grid), 0.0, 0, True,
+                                         {"n_unknowns": n}))
+            continue
+        x, iters = _cg(op.matrix, b, tol * bnorm, budget)
+        tally["cg_iterations"] += iters
+        r = op.matrix @ x - b
+        res = math.sqrt(_dot(r, r)) / bnorm
+        vals = np.zeros(grid.n_nodes)
+        vals[op.interior_flat] = x / op.sqrt_w
+        out.append(ResolventSolution(ScalarField(grid, vals.reshape(grid.shape)), res, iters,
+                                     iters < budget and res <= tol * 10.0, {"n_unknowns": n}))
+    return out
 
-    if bnorm == 0.0:
-        u = ScalarField.zeros(grid)
-        return ResolventSolution(u, 0.0, 0, True, {"n_unknowns": op.n_unknowns})
 
-    budget = _iteration_budget(op.n_unknowns)
-    x, iters = _cg(op.matrix, b, tol * bnorm, budget)
-    tally["cg_iterations"] += iters
-    r = op.matrix @ x - b
-    res = math.sqrt(_dot(r, r)) / bnorm
-    vals = np.zeros(grid.n_nodes)
-    vals[op.interior_flat] = x / op.sqrt_w
-    u = ScalarField(grid, vals.reshape(grid.shape))
-    return ResolventSolution(
-        u=u,
-        residual=res,
-        iterations=iters,
-        converged=(iters < budget and res <= tol * 10.0),
-        diagnostics={"n_unknowns": op.n_unknowns},
-    )
+def solve_resolvent(job: ResolventJob, tol: float = 1e-10) -> ResolventSolution:
+    """``solve_resolvents`` for the one right-hand side of ``job``."""
+    return solve_resolvents(job.grid, job.sigma, [job.rhs], tol)[0]

@@ -91,7 +91,6 @@ def _kl_table(kind: str, m: int, s: np.ndarray) -> np.ndarray:
 class KLBasis:
     """Truncated Karhunen-Loeve system with an s-quadrature on [0, 1]."""
 
-    kind: str
     m: int
     s_weights: np.ndarray
     h_table: np.ndarray = field(repr=False)  # (m, n_s) values of h_i at the s-nodes
@@ -102,7 +101,7 @@ class KLBasis:
         if m < 1:
             raise ValueError("truncation must be >= 1")
         s, w = composite_gauss_legendre(max(16, m))
-        return cls(kind, m, w, _kl_table(kind, m, s))
+        return cls(m, w, _kl_table(kind, m, s))
 
     def h1_integral(self) -> float:
         return float(self.h_table[0] @ self.s_weights)

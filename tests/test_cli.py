@@ -83,15 +83,17 @@ SMALL_ORACLE_2D_CFG = {**DEFAULT_CONFIGS["oracle"], "n_paths": 500, "dt": 1e-2, 
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """(job, solution) of every solve made through the solver module, in call order."""
+    """(sigma, solution) of every right-hand side solved through the solver
+    module, in call order."""
     calls = []
-    orig = solver.solve_resolvent
+    orig = solver.solve_resolvents
 
-    def counted(job, *args, **kwargs):
-        calls.append((job, orig(job, *args, **kwargs)))
-        return calls[-1][1]
+    def counted(grid, sigma, rhs, *args, **kwargs):
+        sols = orig(grid, sigma, rhs, *args, **kwargs)
+        calls.extend((sigma, sol) for sol in sols)
+        return sols
 
-    monkeypatch.setattr(solver, "solve_resolvent", counted)
+    monkeypatch.setattr(solver, "solve_resolvents", counted)
     return calls
 
 
@@ -251,6 +253,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid config" in err and "p must be >= 1" in err
 
+    def test_lemma_sweep_with_no_deep_interior_exits_2(self, tmp_path, capsys):
+        # no node lies 2 steps inside the small disk: the flux integral has
+        # no nodes to sum, and its records once passed with observed 0.0
+        sweep = {"name": "small-disk", "assert_contractive": True,
+                 "domain": {"type": "ball", "dim": 2, "parameters": {"radius": 0.15}},
+                 "grid": {"lo": -1.0, "hi": 1.0, "h": 0.1}, "sigmas": [1.0], "ps": [2.0],
+                 "bumps": [{"center": [0.0, 0.0], "radius": 0.05, "margin": 0.05}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": [sweep]}))
+        code = main(["lemma", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "region has no quadrature mass" in err
+
     def test_p_below_1_exits_2_before_any_solve(self, tmp_path, capsys, solve_calls):
         # a bad p in the third default sweep once surfaced only after the
         # sweeps before it were solved, and left an empty --out behind
@@ -378,7 +394,7 @@ class TestUnconvergedSolves:
 
 
 def solve_counters(calls) -> dict:
-    """The profile counters that the given (job, solution) solves make."""
+    """The profile counters that the given (sigma, solution) solves make."""
     return {"linear_solves": len(calls),
             "cg_iterations": sum(s.iterations for _, s in calls),
             "unknowns": sum(s.diagnostics["n_unknowns"] for _, s in calls)}
@@ -436,7 +452,7 @@ class TestSharedSweeps:
         cfg = {**TWO_SWEEP_LEMMA_CFG, "sweeps": [{**half, "sigmas": [2.0]}, ball]}
         del solve_calls[:]
         rep = run_suite("lemma", cfg, tmp_path / "lemma", seed=5)
-        assert [job.sigma for job, _ in solve_calls] == [2.0]
+        assert [sigma for sigma, _ in solve_calls] == [2.0]
         assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 2}
         assert cli._SOLVED_SWEEPS == {}
 
@@ -445,7 +461,7 @@ class TestSharedSweeps:
         del solve_calls[:]
         rep = run_suite("lemma", {**TWO_SWEEP_LEMMA_CFG, "solver_tol": 1e-10},
                         tmp_path / "lemma", seed=5)
-        assert sorted(job.sigma for job, _ in solve_calls) == [0.1, 1.0, 1.0]
+        assert sorted(sigma for sigma, _ in solve_calls) == [0.1, 1.0, 1.0]
         assert work_counters(rep) == {**solve_counters(solve_calls), "solutions_reused": 0}
         # the contract's entries stay until the next contract run empties them
         assert len(cli._SOLVED_SWEEPS) == 2

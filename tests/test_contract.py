@@ -37,6 +37,13 @@ def _holed_disk_level(x):
 HOLED_DISK = LevelSetDomain(2, _holed_disk_level, name="holed-disk")
 
 
+def small_disk_grid():
+    """A disk of radius 0.15 on a grid of step 0.1: no node is 2 steps inside."""
+    grid = GaussianGrid.build(ball(2, 0.15), -1.0, 1.0, 0.1)
+    assert grid.n_interior > 0 and not grid.eroded_interior(2).any()
+    return grid
+
+
 @pytest.fixture(scope="module")
 def halfline():
     dom = halfspace(1, 1.0)
@@ -186,6 +193,14 @@ class TestPointwiseInequality:
         report = check_pointwise_inequality(u, bump, 1.0, 1e-3, 0.1)
         assert report.ok
 
+    def test_no_checked_node_fails(self):
+        # a check over an empty node set shows nothing, so it cannot pass
+        grid = small_disk_grid()
+        bump = BumpFunction(np.zeros(2), 0.05)
+        report = check_pointwise_inequality(ScalarField.zeros(grid), bump, 1.0, 1e-3, 1.0)
+        assert (report.n_checked, report.violations) == (0, [])
+        assert not report.ok
+
     def test_halfline_solution_passes(self, halfline, halfline_solution):
         dom, grid, bump = halfline
         report = check_pointwise_inequality(
@@ -310,6 +325,11 @@ class TestBoundaryChecks:
         u = ScalarField.zeros(grid)
         (val,) = boundary_flux_integral(u, 1e-3, [2.0])
         assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_flux_integral_over_no_node_raises(self):
+        u = ScalarField.zeros(small_disk_grid())
+        with pytest.raises(ValueError, match="region has no quadrature mass"):
+            boundary_flux_integral(u, 1e-3, [2.0])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_flux_integral_sign(self, halfline_solution, p):

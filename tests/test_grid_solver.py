@@ -23,6 +23,7 @@ from oucontract.solver import (
     assemble_ou_operator,
     discrete_ou_apply,
     solve_resolvent,
+    solve_resolvents,
 )
 from oucontract.wiener import (
     BM,
@@ -403,7 +404,7 @@ class TestAssembly:
         op = assemble_ou_operator(halfline_grid, 0.7)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            v = rng.standard_normal(op.n_unknowns)
+            v = rng.standard_normal(op.interior_flat.size)
             assert v @ (op.matrix @ v) >= (1.0 - 1e-12) * (v @ v)
 
     def test_negative_sigma_rejected(self, halfline_grid):
@@ -411,7 +412,7 @@ class TestAssembly:
             assemble_ou_operator(halfline_grid, -1.0)
 
     def test_zero_sigma_rejected(self, halfline_grid):
-        # sigma > 0, the rule ResolventJob applies too
+        # sigma > 0: every solve assembles, so every solve applies this rule
         with pytest.raises(ValueError, match="sigma must be positive"):
             assemble_ou_operator(halfline_grid, 0.0)
 
@@ -605,12 +606,23 @@ class TestSolve:
         bump = ScalarField.from_callable(
             halfline_grid, lambda p: np.exp(-((p[:, 0] + 3) ** 2))
         )
-        sols = [solve_resolvent(ResolventJob(halfline_grid, 1.0, rhs))
-                for rhs in (ScalarField.zeros(halfline_grid), bump)]
-        # a zero right-hand side is a solve too, of 0 iterations
+        sols = solve_resolvents(halfline_grid, 1.0, [ScalarField.zeros(halfline_grid), bump])
+        # one call, one solve per right-hand side; a zero one is a solve of 0 iterations
         assert sols[0].iterations == 0 < sols[1].iterations
         assert solver.tally == {"linear_solves": 2, "cg_iterations": sols[1].iterations,
                                 "unknowns": 2 * halfline_grid.n_interior}
+
+    def test_rhs_of_another_grid_rejected(self):
+        # same box, step and shape, other domain: the solve must not pair
+        # this right-hand side with the ball's operator
+        half = GaussianGrid.build(halfspace(2, 1.0), -3.0, 3.0, 0.5)
+        disk = GaussianGrid.build(ball(2, 2.0), -3.0, 3.0, 0.5)
+        assert half.shape == disk.shape
+        rhs = ScalarField.from_callable(half, lambda p: np.exp(-np.sum((p + 1) ** 2, axis=-1)))
+        with pytest.raises(ValueError, match="rhs must live on the solve grid"):
+            solve_resolvents(disk, 1.0, [rhs])
+        with pytest.raises(ValueError, match="rhs must live on the solve grid"):
+            solve_resolvent(ResolventJob(disk, 1.0, rhs))
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -679,8 +691,8 @@ class TestSolve:
         rhs = ScalarField.from_callable(
             grid, lambda p: np.exp(-np.sum((p - [-3.0, 0.5]) ** 2, axis=-1))
         )
+        sol = solve_resolvent(ResolventJob(grid, 1.0, rhs), tol=tol)
         op = assemble_ou_operator(grid, 1.0)
-        sol = solve_resolvent(ResolventJob(grid, 1.0, rhs), tol=tol, operator=op)
         b = rhs.flat()[op.interior_flat] * op.sqrt_w
         x_direct = spsolve(op.matrix.tocsc(), b)
         x_cg = sol.u.flat()[op.interior_flat] * op.sqrt_w
@@ -716,7 +728,7 @@ def solve_against_scipy(grid, sigma, rhs, tol=1e-10):
     b = rhs.flat()[op.interior_flat] * op.sqrt_w
     iters = []
     x, info = cg(op.matrix, b, rtol=tol, atol=0.0,
-                 maxiter=solver._iteration_budget(op.n_unknowns),
+                 maxiter=solver._iteration_budget(op.interior_flat.size),
                  callback=lambda xk: iters.append(1))
     u_ref = np.zeros(grid.n_nodes)
     u_ref[op.interior_flat] = x / op.sqrt_w

@@ -109,7 +109,7 @@ class TestKLBasis:
         vals = []
         for panels in (16, 32):
             s, w = wiener.composite_gauss_legendre(panels)
-            basis = KLBasis(BM, 2, w, wiener._kl_table(BM, 2, s))
+            basis = KLBasis(2, w, wiener._kl_table(BM, 2, s))
             vals.append(pathwise_level_value(spec, basis, xi))
         assert abs(vals[0] - vals[1]) < 1e-10
 
